@@ -114,7 +114,7 @@ def move_from_json(data: dict) -> LoccMove:
         return Swap(tuple(data["left"]), tuple(data["right"]))
     if kind == "cat_expand":
         return CatExpand(tuple(data["edge"]), tuple(data["pair"]))
-    raise ValueError(f"unknown move kind {kind!r}")
+    raise ParseError(f"unknown move kind {kind!r}")
 
 
 def trace_to_json(t: ProtocolTrace) -> dict:
@@ -126,9 +126,17 @@ def trace_to_json(t: ProtocolTrace) -> dict:
 
 
 def trace_from_json(data: dict) -> ProtocolTrace:
-    start = state_from_json(data["start"])
-    trace = make_trace(start, [move_from_json(m) for m in data["moves"]])
-    if trace.end != state_from_json(data["end"]):
+    """Decode and replay a trace; malformed JSON raises ParseError."""
+    try:
+        start = state_from_json(data["start"])
+        moves = [move_from_json(m) for m in data["moves"]]
+        end = state_from_json(data["end"])
+    except KeyError as exc:
+        raise ParseError(f"trace JSON lacks the field {exc}") from None
+    except TypeError as exc:
+        raise ParseError(f"trace JSON has the wrong shape: {exc}") from None
+    trace = make_trace(start, moves)
+    if trace.end != end:
         raise ValueError("trace end state does not replay")
     return trace
 
@@ -181,7 +189,7 @@ class ComparabilityVerdict:
 def _judge_direction(source: Hypergraph, target: Hypergraph, *,
                      color_bound: int, search_budget: int,
                      direction: tuple[str, str]) -> DirectionVerdict:
-    """Witness scan first, then reachability; both found is a fatal bug."""
+    """Witness scan first; only a direction without a witness is searched."""
     witness = None
     note = ""
     try:
@@ -191,12 +199,11 @@ def _judge_direction(source: Hypergraph, target: Hypergraph, *,
     except SearchBoundExceeded as exc:
         note = f"witness scan skipped: {exc}"
     trace = None
-    try:
-        trace = reachability_search(source, target, budget=search_budget)
-    except BudgetExceeded as exc:
-        note = (note + "; " if note else "") + f"search truncated: {exc}"
-    if witness is not None and trace is not None:
-        raise AssertionError("witness and trace found for one direction")
+    if witness is None:
+        try:
+            trace = reachability_search(source, target, budget=search_budget)
+        except BudgetExceeded as exc:
+            note = (note + "; " if note else "") + f"search truncated: {exc}"
     if witness is not None:
         return DirectionVerdict("impossible", witness=witness, note=note)
     if trace is not None:
@@ -293,7 +300,7 @@ def cmd_protocol(args) -> int:
         print("search budget exhausted before covering the space", file=sys.stderr)
         return EXIT_UNKNOWN
     if trace is None:
-        print("no protocol found (move calculus exhausted)", file=sys.stderr)
+        print("no protocol found (search exhausted or blocked by a cut)", file=sys.stderr)
         return EXIT_UNKNOWN
     if args.json:
         print(json.dumps(trace_to_json(trace), indent=2))

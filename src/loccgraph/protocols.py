@@ -18,8 +18,9 @@ terminate.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 from .errors import BadAgents, BudgetExceeded, IllegalMove, MismatchedAgents, NotSpanningTree
@@ -303,6 +304,51 @@ def legal_moves(state: Hypergraph) -> list[LoccMove]:
     return moves
 
 
+def _find(parent: dict[int, int], x: int) -> int:
+    """Union-find root of x, halving the path on the way; agents absent
+    from `parent` are their own root."""
+    while x in parent:
+        up = parent[x]
+        if up in parent:
+            parent[x] = parent[up]
+        x = up
+    return x
+
+
+def _cut_pruner(target: Hypergraph):
+    """Predicate: does some coloring of the prune family cut a state *less*
+    than it cuts `target`?  If so, no LOCC protocol turns that state into
+    the target, because no move ever raises a bipartition cut.
+
+    The family: every single-agent cut (a state degree below the target's
+    degree) and every component cut of the state (a target hyperedge
+    spanning two of its components).  The target's side is computed once;
+    each test is then one pass over the agents and edges of the state.
+    Every member of the family can only shrink along a move, so every
+    descendant of a pruned state is pruned as well.
+    """
+    target_degree = Counter(chain.from_iterable(target.edges))
+    target_edges = set(target.edges)
+
+    def pruned(state: Hypergraph) -> bool:
+        if target_degree - Counter(chain.from_iterable(state.edges)):
+            return True
+        parent: dict[int, int] = {}
+        for e in state.edges:
+            root = _find(parent, e[0])
+            for a in e[1:]:
+                other = _find(parent, a)
+                if other != root:
+                    parent[other] = root
+        for e in target_edges:
+            root = _find(parent, e[0])
+            if any(_find(parent, a) != root for a in e[1:]):
+                return True
+        return False
+
+    return pruned
+
+
 def reachability_search(source: Hypergraph, target: Hypergraph,
                         budget: int = DEFAULT_SEARCH_BUDGET) -> ProtocolTrace | None:
     """Breadth-first search for a shortest LOCC trace source -> target.
@@ -312,11 +358,25 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
     least among the shortest ones.  Returns None when the (finite) space
     is exhausted without success; raises BudgetExceeded when the search
     was cut short by the state budget instead.
+
+    The search is evidence-first.  After the `source == target` test it
+    asks whether some single-agent cut or component cut of the source is
+    below the target's; if one is, no protocol exists and it returns None
+    at the root, without expanding a single state.  The same test prunes
+    every state it discovers: such a state still counts against the budget
+    and is still compared with the target, but it is never expanded.
+    LOCC never raises a bipartition cut, so every state on a path to the
+    target dominates all of the target's cuts: pruning keeps the returned
+    trace, and it never hits the budget earlier than the unpruned search
+    would.
     """
     if source.agents != target.agents:
         raise MismatchedAgents("source and target must share one agent set")
     if source == target:
         return make_trace(source, ())
+    cut_below_target = _cut_pruner(target)
+    if cut_below_target(source):
+        return None
     visited = {source.edges}
     parent: dict[tuple, tuple[Hypergraph, LoccMove]] = {}
     queue = deque([source])
@@ -341,7 +401,8 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
                     cur = prev
                 moves.reverse()
                 return make_trace(source, moves)
-            queue.append(nxt)
+            if not cut_below_target(nxt):
+                queue.append(nxt)
     if truncated:
         raise BudgetExceeded(f"state budget {budget} hit before exhausting the space")
     return None

@@ -281,3 +281,30 @@ def test_criterion_11_soundness():
         assert not (witness is not None and trace is not None)
     report("criterion 11 (soundness, 10^4 triples + exclusivity sweep)",
            time.perf_counter() - start)
+
+
+def test_criterion_12_hypertree_pair_n15_ends_at_its_witnesses(tmp_path, capsys):
+    import json
+
+    from loccgraph import parse_hypergraph
+    from loccgraph.cli import main, witness_from_json
+
+    start = time.perf_counter()
+    assert main(["enumerate", "hypertrees", "--n", "15", "--r", "3",
+                 "--count", "2", "--seed", "3"]) == 0
+    docs = [d for d in capsys.readouterr().out.split("\n\n") if d.strip()]
+    assert len(docs) == 2
+    paths = []
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"h{i}.txt"
+        path.write_text(doc)
+        paths.append(str(path))
+    assert main(["check", "--json", *paths]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["classification"] == "incomparable"
+    h1, h2 = (parse_hypergraph(doc) for doc in docs)
+    for key, (source, target) in (("forward", (h1, h2)), ("backward", (h2, h1))):
+        witness = witness_from_json(result[key]["witness"], source.agents)
+        valid_witness(witness, source, target)
+    report("criterion 12 (n=15 r=3 hypertree check)",
+           time.perf_counter() - start, budget=5.0)

@@ -199,3 +199,71 @@ def test_internal_inconsistency_exit_code(monkeypatch, tmp_path):
     monkeypatch.setattr(cli_mod, "build_parser", lambda: parser)
     monkeypatch.setattr(parser, "parse_args", lambda argv=None: args)
     assert cli_mod.main(["check", a, a]) == 4
+
+
+def _witnessed_pair(tmp_path):
+    # the GHZ state cannot become two EPR pairs: a witness settles forward
+    return (write_state(tmp_path, "ghz.txt", "agents: 3\ncat: 1 2 3\n"),
+            write_state(tmp_path, "two_epr.txt", "agents: 3\ncat: 1 3\ncat: 2 3\n"))
+
+
+def test_witnessed_direction_is_not_searched(monkeypatch, tmp_path, capsys):
+    import loccgraph.cli as cli_mod
+
+    searched = []
+    real_search = cli_mod.reachability_search
+
+    def recording_search(source, target, **kwargs):
+        searched.append((source, target))
+        return real_search(source, target, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "reachability_search", recording_search)
+    a, b = _witnessed_pair(tmp_path)
+    assert main(["check", "--json", a, b]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["forward"]["verdict"] == "impossible"
+    assert report["backward"]["verdict"] == "possible"
+    ghz, two_epr = (cli_mod._read_state(p) for p in (a, b))
+    assert searched == [(two_epr, ghz)]
+
+
+def test_verdict_guard_survives_optimize_flag(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import loccgraph
+
+    a, b = _witnessed_pair(tmp_path)
+    script = (
+        "import sys\n"
+        "import loccgraph.cli as cli\n"
+        "from loccgraph.protocols import make_trace\n"
+        "assert False, 'assert statements must be stripped under -O'\n"
+        "cli._judge_direction = lambda s, t, **kw: cli.DirectionVerdict(\n"
+        "    'possible', trace=make_trace(s, ()),\n"
+        "    witness=cli.find_blocking_witness(s, t))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loccgraph.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", script, "check", a, b],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert "possible and impossible at once" in proc.stderr
+
+
+@pytest.mark.parametrize("payload,field", [
+    ("{}", "'start'"),
+    ('{"start": {"agents": [1, 2], "edges": [[1, 2]]},'
+     ' "moves": [{"kind": "discard"}],'
+     ' "end": {"agents": [1, 2], "edges": []}}', "'edge'"),
+    ("[]", "wrong shape"),
+])
+def test_replay_rejects_malformed_trace(tmp_path, capsys, payload, field):
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(payload)
+    assert main(["replay", str(trace_file)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert len(err.splitlines()) == 1
