@@ -69,7 +69,6 @@ from .witnesses import (
 )
 from .distance import DistanceReport, distance_report, find_saturating_pairs, quantum_distance
 from .enumeration import (
-    all_bicolorings,
     all_spanning_trees,
     prufer_decode,
     prufer_encode,

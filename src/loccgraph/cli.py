@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .errors import (
@@ -21,6 +21,7 @@ from .errors import (
     LoccError,
     MismatchedAgents,
     ParseError,
+    RTooSmall,
     SearchBoundExceeded,
 )
 from .hypergraph import (
@@ -33,6 +34,7 @@ from .merging import (
     Bicoloring,
     BlockingWitness,
     find_blocking_witness,
+    make_witness,
     min_copies_lower_bound,
 )
 from .protocols import (
@@ -43,6 +45,7 @@ from .protocols import (
     MeasureOut,
     ProtocolTrace,
     Swap,
+    _cut_pruner,
     cat_copies_to_tree,
     make_trace,
     reachability_search,
@@ -92,29 +95,25 @@ def witness_from_json(data: dict, agents) -> BlockingWitness:
                            tuple(data["direction"]))
 
 
+MOVE_KINDS = {cls.kind: cls for cls in (Discard, MeasureOut, Swap, CatExpand)}
+
+
 def move_to_json(m: LoccMove) -> dict:
-    if isinstance(m, Discard):
-        return {"kind": m.kind, "edge": list(m.edge)}
-    if isinstance(m, MeasureOut):
-        return {"kind": m.kind, "edge": list(m.edge), "agent": m.agent}
-    if isinstance(m, Swap):
-        return {"kind": m.kind, "left": list(m.left), "right": list(m.right)}
-    if isinstance(m, CatExpand):
-        return {"kind": m.kind, "edge": list(m.edge), "pair": list(m.pair)}
-    raise ValueError(f"unknown move {m!r}")
+    out: dict = {"kind": m.kind}
+    for f in fields(m):
+        value = getattr(m, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def move_from_json(data: dict) -> LoccMove:
     kind = data["kind"]
-    if kind == "discard":
-        return Discard(tuple(data["edge"]))
-    if kind == "measure_out":
-        return MeasureOut(tuple(data["edge"]), data["agent"])
-    if kind == "swap":
-        return Swap(tuple(data["left"]), tuple(data["right"]))
-    if kind == "cat_expand":
-        return CatExpand(tuple(data["edge"]), tuple(data["pair"]))
-    raise ParseError(f"unknown move kind {kind!r}")
+    cls = MOVE_KINDS.get(kind)
+    if cls is None:
+        raise ParseError(f"unknown move kind {kind!r}")
+    # every field is an edge except MeasureOut's agent
+    return cls(**{f.name: data[f.name] if f.name == "agent" else tuple(data[f.name])
+                  for f in fields(cls)})
 
 
 def trace_to_json(t: ProtocolTrace) -> dict:
@@ -189,7 +188,8 @@ class ComparabilityVerdict:
 def _judge_direction(source: Hypergraph, target: Hypergraph, *,
                      color_bound: int, search_budget: int,
                      direction: tuple[str, str]) -> DirectionVerdict:
-    """Witness scan first; only a direction without a witness is searched."""
+    """Witness scan first (past the color bound, the cuts that prune the
+    search); only a direction without a witness is searched."""
     witness = None
     note = ""
     try:
@@ -198,6 +198,10 @@ def _judge_direction(source: Hypergraph, target: Hypergraph, *,
                                         direction=direction)
     except SearchBoundExceeded as exc:
         note = f"witness scan skipped: {exc}"
+        side = _cut_pruner(target)(source)
+        if side is not None:
+            witness = make_witness(source, target, Bicoloring(source.agents, side),
+                                   direction=direction)
     trace = None
     if witness is None:
         try:
@@ -361,6 +365,12 @@ def cmd_export_dot(args) -> int:
 # theorem sweeps
 # ---------------------------------------------------------------------------
 
+def _require(holds: bool, claim: str) -> None:
+    """A theorem check that, unlike `assert`, survives `python -O`."""
+    if not holds:
+        raise AssertionError(claim)
+
+
 def _sweep_order_chains(n_max: int) -> dict:
     fails = []
     for n in range(3, n_max + 1):
@@ -434,8 +444,8 @@ def _sweep_r_uniform(r_list, seed: int, sample_count: int) -> dict:
             try:
                 pair = find_separating_pair(h1, h2)
                 fwd, bwd = r_uniform_incomparability(h1, h2)
-                assert fwd.witness.target_cut > fwd.witness.source_cut
-                assert bwd.witness.target_cut > bwd.witness.source_cut
+                _require(fwd.witness.target_cut > fwd.witness.source_cut, "h1 -/-> h2")
+                _require(bwd.witness.target_cut > bwd.witness.source_cut, "h2 -/-> h1")
             except (AssertionError, LoccError) as exc:
                 if len(fails) < 1:
                     fails.append({"r": r, "n": n,
@@ -493,8 +503,8 @@ def _sweep_pendant(seed: int, sample_count: int) -> dict:
         checked += 1
         try:
             witness_pendant_condition(h1, h2)
-            assert find_blocking_witness(h1, h2) is not None
-            assert find_blocking_witness(h2, h1) is not None
+            _require(find_blocking_witness(h1, h2) is not None, "scan finds h1 -/-> h2")
+            _require(find_blocking_witness(h2, h1) is not None, "scan finds h2 -/-> h1")
         except (AssertionError, LoccError) as exc:
             if not fails:
                 fails.append({"h1": state_to_json(h1), "h2": state_to_json(h2),
@@ -519,17 +529,19 @@ def _sweep_distance(seed: int, sample_count: int) -> dict:
             b = random_spanning_tree(n, rng.randrange(10 ** 9))
             c = random_spanning_tree(n, rng.randrange(10 ** 9))
             checked += 1
-            assert quantum_distance(a, b) == quantum_distance(b, a)
-            assert (quantum_distance(a, b) == 0) == (a == b)
-            assert quantum_distance(a, c) <= quantum_distance(a, b) + quantum_distance(b, c)
+            _require(quantum_distance(a, b) == quantum_distance(b, a), "symmetry")
+            _require((quantum_distance(a, b) == 0) == (a == b), "zero iff equal")
+            _require(quantum_distance(a, c) <= quantum_distance(a, b) + quantum_distance(b, c),
+                     "triangle inequality")
             if a != b:
                 rep = distance_report(a, b)
-                assert 2 <= rep.copies_lower <= rep.copies_upper == rep.qd + 1
-                assert replay_trace(rep.upper_trace) == b
+                _require(2 <= rep.copies_lower <= rep.copies_upper == rep.qd + 1,
+                         "2 <= copies_lower <= copies_upper == qd + 1")
+                _require(replay_trace(rep.upper_trace) == b, "upper trace reaches b")
         low, high = find_saturating_pairs(3)
-        assert distance_report(*low).copies_lower == 2
+        _require(distance_report(*low).copies_lower == 2, "lower bound 2 is attained")
         rep = distance_report(*high)
-        assert rep.copies_lower == rep.copies_upper
+        _require(rep.copies_lower == rep.copies_upper, "upper bound qd + 1 is attained")
     except (AssertionError, LoccError) as exc:
         fails.append({"error": str(exc)})
     return {"name": "quantum-distance", "checked": checked, "failures": fails}
@@ -568,6 +580,9 @@ def _sweep_soundness(seed: int, sample_count: int) -> dict:
 
 
 def cmd_verify_theorems(args) -> int:
+    if any(r < 3 for r in args.r_list):
+        raise RTooSmall(f"--r-list values must be at least 3, got {min(args.r_list)} "
+                        "(r = 2 is the spanning-tree case, which the tree sweeps cover)")
     sweeps = [
         _sweep_order_chains(args.n_max),
         _sweep_tree_counts(args.n_max),

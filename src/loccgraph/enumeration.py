@@ -1,5 +1,5 @@
-"""Instance generators: labeled spanning trees via the Prufer bijection,
-seeded r-uniform hypertrees, and the exhaustive coloring stream.
+"""Instance generators: labeled spanning trees via the Prufer bijection
+and seeded r-uniform hypertrees.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import Iterator
 
 from .errors import BoundExceeded, IncompatibleParameters, InvalidSequence, NotSpanningTree
 from .hypergraph import Hypergraph, is_spanning_epr_tree
-from .merging import DEFAULT_COLOR_BOUND, Bicoloring, iter_bicolorings
 
 TREE_ENUM_MAX_N = 7  # n^(n-2) <= 16807
 
@@ -106,11 +105,3 @@ def random_r_uniform_hypertree(n: int, r: int, seed: int) -> Hypergraph:
     mapping = {old: new for old, new in zip(range(1, n + 1), relabel)}
     return Hypergraph(tuple(range(1, n + 1)),
                       tuple(tuple(mapping[v] for v in e) for e in edges))
-
-
-def all_bicolorings(agents, bound: int = DEFAULT_COLOR_BOUND) -> Iterator[Bicoloring]:
-    """The deterministic coloring stream driving the exhaustive witness scan."""
-    agents = tuple(sorted(agents))
-    if len(agents) > bound:
-        raise BoundExceeded(f"{len(agents)} agents exceeds the coloring bound {bound}")
-    return iter_bicolorings(agents, bound=bound)

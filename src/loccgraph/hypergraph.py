@@ -11,7 +11,7 @@ Everything here is an immutable value; all operations are pure functions.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyStructure, ParseError
@@ -122,12 +122,52 @@ def copies(h: Hypergraph, k: int) -> Hypergraph:
 # structural predicates
 # ---------------------------------------------------------------------------
 
-def _incidence(h: Hypergraph) -> dict[int, list[Edge]]:
+def reach(h: Hypergraph, start: int, skip: Edge | None = None,
+          ) -> dict[int, tuple[int, Edge] | None]:
+    """Breadth-first walk from `start` that never crosses the hyperedge
+    value `skip`.
+
+    Returns the reached agents in discovery order, each mapped to the
+    (agent, hyperedge) it was first reached through; `start` maps to None.
+    Discovery order puts every agent after the agent it was reached from.
+    """
     index: dict[int, list[Edge]] = {a: [] for a in h.agents}
     for e in h.edges:
-        for a in e:
-            index[a].append(e)
-    return index
+        if e != skip:
+            for a in e:
+                index[a].append(e)
+    via: dict[int, tuple[int, Edge] | None] = {start: None}
+    frontier = [start]
+    for x in frontier:
+        for e in index[x]:
+            for y in e:
+                if y not in via:
+                    via[y] = (x, e)
+                    frontier.append(y)
+    return via
+
+
+def components(h: Hypergraph) -> list[frozenset[int]]:
+    """Connected components, ordered by their lowest agent."""
+    comps: list[frozenset[int]] = []
+    for a in h.agents:
+        if not any(a in c for c in comps):
+            comps.append(frozenset(reach(h, a)))
+    return comps
+
+
+def hyperpath(h: Hypergraph, a: int, b: int) -> tuple[list[Edge], list[int]]:
+    """A shortest hyperpath a -> b (the unique one in a hypertree): its
+    edges and the junction vertices between consecutive edges."""
+    via = reach(h, a)
+    if b not in via:
+        raise ValueError(f"no hyperpath between {a} and {b}")
+    vertices, edges = [b], []  # walked back from b to a
+    while via[vertices[-1]] is not None:
+        prev, e = via[vertices[-1]]
+        vertices.append(prev)
+        edges.append(e)
+    return edges[::-1], vertices[-2:0:-1]
 
 
 def is_connected(h: Hypergraph) -> bool:
@@ -136,19 +176,7 @@ def is_connected(h: Hypergraph) -> bool:
     Agents in no hyperedge make a multi-agent instance disconnected; a
     single agent with no edges is trivially connected.
     """
-    if h.n == 1:
-        return True
-    index = _incidence(h)
-    seen = {h.agents[0]}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for e in index[x]:
-            for y in e:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-    return len(seen) == h.n
+    return len(reach(h, h.agents[0])) == h.n
 
 
 def is_spanning_epr_tree(h: Hypergraph) -> bool:

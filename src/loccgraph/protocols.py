@@ -24,7 +24,15 @@ from itertools import chain
 from typing import Union
 
 from .errors import BadAgents, BudgetExceeded, IllegalMove, MismatchedAgents, NotSpanningTree
-from .hypergraph import Edge, Hypergraph, cat_state, copies, is_spanning_epr_tree
+from .hypergraph import (
+    Edge,
+    Hypergraph,
+    cat_state,
+    copies,
+    hyperpath,
+    is_spanning_epr_tree,
+    reach,
+)
 
 DEFAULT_SEARCH_BUDGET = 10 ** 6
 
@@ -153,33 +161,19 @@ def tree_to_cat(t: Hypergraph) -> ProtocolTrace:
     """Build the n-CAT from EPR pairs shared along a spanning tree.
 
     Teleportation absorbs one pair per step: rooted at the lowest agent,
-    edges are consumed in depth-first order, so exactly n-2 expansions turn
-    the first pair into the full CAT.  For n = 2 the pair already is the
-    2-CAT and the trace is empty.
+    edges are consumed in breadth-first discovery order, so every pair
+    touches the CAT grown so far and exactly n-2 expansions turn the first
+    pair into the full CAT.  For n = 2 the pair already is the 2-CAT and
+    the trace is empty.
     """
     if not is_spanning_epr_tree(t):
         raise NotSpanningTree("input is not a spanning EPR tree")
-    if t.n == 2:
-        return make_trace(t, ())
-    neighbors: dict[int, list[int]] = {a: [] for a in t.agents}
-    for a, b in t.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    root = t.agents[0]
-    order: list[tuple[int, int]] = []
-    seen = {root}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in sorted(neighbors[x], reverse=True):
-            if y not in seen:
-                seen.add(y)
-                order.append((x, y))
-                stack.append(y)
-    current = tuple(sorted(order[0]))
+    steps = [(child, step[1]) for child, step in reach(t, t.agents[0]).items()
+             if step is not None]
+    current = steps[0][1]
     moves = []
-    for parent, child in order[1:]:
-        moves.append(CatExpand(edge=current, pair=tuple(sorted((parent, child)))))
+    for child, pair in steps[1:]:
+        moves.append(CatExpand(edge=current, pair=pair))
         current = tuple(sorted(current + (child,)))
     return make_trace(t, moves)
 
@@ -220,28 +214,6 @@ def cat_copies_to_tree(t: Hypergraph) -> ProtocolTrace:
     return make_trace(start, moves)
 
 
-def _tree_vertex_path(t: Hypergraph, a: int, b: int) -> list[int]:
-    neighbors: dict[int, list[int]] = {x: [] for x in t.agents}
-    for x, y in t.edges:
-        neighbors[x].append(y)
-        neighbors[y].append(x)
-    parent = {a: None}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        if x == b:
-            break
-        for y in sorted(neighbors[x]):
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    path = [b]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:
     """Convert QD+1 copies of spanning tree t1 into spanning tree t2.
 
@@ -260,15 +232,15 @@ def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:
     for e in sorted(set(t1.edges) - set(t2.edges)):
         moves.append(Discard(e))
     for a, b in missing:
-        path = _tree_vertex_path(t1, a, b)
-        path_edges = {tuple(sorted((path[i], path[i + 1]))) for i in range(len(path) - 1)}
-        current = tuple(sorted((path[0], path[1])))
+        path_edges, junctions = hyperpath(t1, a, b)
+        path = [a, *junctions, b]
+        current = path_edges[0]
         for nxt in path[2:]:
             # swap at the junction shared by the accumulated pair and the next hop
             junction = (set(current) - {a}).pop()
             moves.append(Swap(left=current, right=tuple(sorted((junction, nxt)))))
             current = tuple(sorted((a, nxt)))
-        for e in sorted(set(t1.edges) - path_edges):
+        for e in sorted(set(t1.edges) - set(path_edges)):
             moves.append(Discard(e))
     trace = make_trace(start, moves)
     assert trace.end == t2
@@ -316,23 +288,27 @@ def _find(parent: dict[int, int], x: int) -> int:
 
 
 def _cut_pruner(target: Hypergraph):
-    """Predicate: does some coloring of the prune family cut a state *less*
-    than it cuts `target`?  If so, no LOCC protocol turns that state into
-    the target, because no move ever raises a bipartition cut.
+    """Predicate: the A-side of a coloring of the prune family that cuts a
+    state *less* than it cuts `target`, or None.  If there is one, no LOCC
+    protocol turns that state into the target, because no move ever raises
+    a bipartition cut.
 
     The family: every single-agent cut (a state degree below the target's
-    degree) and every component cut of the state (a target hyperedge
-    spanning two of its components).  The target's side is computed once;
-    each test is then one pass over the agents and edges of the state.
-    Every member of the family can only shrink along a move, so every
-    descendant of a pruned state is pruned as well.
+    degree; the lowest such agent is returned) and every component cut of
+    the state (a target hyperedge spanning two of its components; the
+    component of the first agent of the least such edge is returned).  The
+    target's side is computed once; each test is then one pass over the
+    agents and edges of the state.  Every member of the family can only
+    shrink along a move, so every descendant of a pruned state is pruned
+    as well.
     """
     target_degree = Counter(chain.from_iterable(target.edges))
-    target_edges = set(target.edges)
+    target_edges = sorted(set(target.edges))
 
-    def pruned(state: Hypergraph) -> bool:
-        if target_degree - Counter(chain.from_iterable(state.edges)):
-            return True
+    def blocking_side(state: Hypergraph) -> frozenset[int] | None:
+        short = target_degree - Counter(chain.from_iterable(state.edges))
+        if short:
+            return frozenset({min(short)})
         parent: dict[int, int] = {}
         for e in state.edges:
             root = _find(parent, e[0])
@@ -343,10 +319,10 @@ def _cut_pruner(target: Hypergraph):
         for e in target_edges:
             root = _find(parent, e[0])
             if any(_find(parent, a) != root for a in e[1:]):
-                return True
-        return False
+                return frozenset(a for a in state.agents if _find(parent, a) == root)
+        return None
 
-    return pruned
+    return blocking_side
 
 
 def reachability_search(source: Hypergraph, target: Hypergraph,
@@ -375,7 +351,7 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
     if source == target:
         return make_trace(source, ())
     cut_below_target = _cut_pruner(target)
-    if cut_below_target(source):
+    if cut_below_target(source) is not None:
         return None
     visited = {source.edges}
     parent: dict[tuple, tuple[Hypergraph, LoccMove]] = {}
@@ -401,7 +377,7 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
                     cur = prev
                 moves.reverse()
                 return make_trace(source, moves)
-            if not cut_below_target(nxt):
+            if cut_below_target(nxt) is None:
                 queue.append(nxt)
     if truncated:
         raise BudgetExceeded(f"state budget {budget} hit before exhausting the space")

@@ -14,7 +14,6 @@ reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -32,12 +31,15 @@ from .hypergraph import (
     Edge,
     Hypergraph,
     cat_state,
+    components,
     copies,
     epr_pair,
+    hyperpath,
     is_entangled_hypertree,
     is_spanning_epr_tree,
     pendant_vertices,
     path_tree,
+    reach,
     uniformity,
 )
 from .merging import Bicoloring, BlockingWitness, find_blocking_witness, make_witness
@@ -49,83 +51,6 @@ from .protocols import Discard, ProtocolTrace, cat_to_epr, make_trace, tree_to_c
 # so edge values are unique and value identity is safe)
 # ---------------------------------------------------------------------------
 
-def _incident(h: Hypergraph) -> dict[int, list[Edge]]:
-    index: dict[int, list[Edge]] = {a: [] for a in h.agents}
-    for e in h.edges:
-        for a in e:
-            index[a].append(e)
-    return index
-
-
-def _connected_components(h: Hypergraph) -> list[frozenset[int]]:
-    index = _incident(h)
-    seen: set[int] = set()
-    comps = []
-    for start in h.agents:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for e in index[x]:
-                for y in e:
-                    if y not in comp:
-                        comp.add(y)
-                        queue.append(y)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
-def _component_without(h: Hypergraph, start: int, banned: Edge) -> frozenset[int]:
-    """Agents reachable from `start` without traversing the edge `banned`."""
-    index = _incident(h)
-    comp = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for e in index[x]:
-            if e == banned:
-                continue
-            for y in e:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-    return frozenset(comp)
-
-
-def _hyperpath(h: Hypergraph, a: int, b: int) -> tuple[list[Edge], list[int]]:
-    """The unique shortest hyperpath a -> b: its edges and the junction
-    vertices between consecutive edges."""
-    index = _incident(h)
-    via: dict[int, tuple[int, Edge] | None] = {a: None}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        if x == b:
-            break
-        for e in index[x]:
-            for y in e:
-                if y not in via:
-                    via[y] = (x, e)
-                    queue.append(y)
-    if b not in via:
-        raise ValueError(f"no hyperpath between {a} and {b}")
-    edges: list[Edge] = []
-    junctions: list[int] = []
-    cur = b
-    while via[cur] is not None:
-        prev, e = via[cur]
-        edges.append(e)
-        cur = prev
-        if via[cur] is not None:
-            junctions.append(cur)
-    edges.reverse()
-    junctions.reverse()
-    return edges, junctions
-
-
 def _co_edge(h: Hypergraph, a: int, b: int) -> bool:
     return any(a in e and b in e for e in h.edges)
 
@@ -133,19 +58,11 @@ def _co_edge(h: Hypergraph, a: int, b: int) -> bool:
 def _proper_two_coloring(t: Hypergraph) -> frozenset[int]:
     """A-side of the proper 2-coloring of a tree: the smaller depth-parity
     class (ties broken to the class not containing the lowest agent)."""
-    index = _incident(t)
-    root = t.agents[0]
-    depth = {root: 0}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for e in index[x]:
-            for y in e:
-                if y not in depth:
-                    depth[y] = depth[x] + 1
-                    queue.append(y)
-    even = frozenset(a for a, d in depth.items() if d % 2 == 0)
-    odd = frozenset(a for a, d in depth.items() if d % 2 == 1)
+    odd_depth: dict[int, bool] = {}
+    for y, step in reach(t, t.agents[0]).items():
+        odd_depth[y] = step is not None and not odd_depth[step[0]]
+    even = frozenset(a for a, o in odd_depth.items() if not o)
+    odd = frozenset(a for a, o in odd_depth.items() if o)
     if len(odd) != len(even):
         return min(odd, even, key=len)
     return odd  # root is even
@@ -161,7 +78,7 @@ def witness_disconnected_vs_cat(g: Hypergraph) -> BlockingWitness:
     Coloring one connected component A and the rest B cuts none of g's
     edges but always cuts the CAT: cuts (0, 1).
     """
-    comps = _connected_components(g)
+    comps = components(g)
     if len(comps) < 2:
         raise InputConnected("graph is connected; no component split exists")
     coloring = Bicoloring(g.agents, comps[0])
@@ -179,7 +96,7 @@ def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, Blockin
     """
     if len(g.edges) < 2:
         raise TooFewEdges("need at least two EPR pairs")
-    if len(_connected_components(g)) < 2:
+    if len(components(g)) < 2:
         raise InputConnected("graph is connected")
     distinct = sorted(set(g.edges))
     if len(distinct) == 1:
@@ -319,14 +236,14 @@ def witness_distinct_spanning_trees(t1: Hypergraph, t2: Hypergraph,
         raise EqualTrees("the trees coincide")
     pivot = extra[0]
 
-    side = {v: _component_without(t2, v, pivot) - {v} for v in pivot}
+    side = {v: frozenset(reach(t2, v, skip=pivot)) - {v} for v in pivot}
     assert not (side[pivot[0]] & side[pivot[1]])
     assert side[pivot[0]] | side[pivot[1]]
 
     def build(i: int, j: int):
-        edges, junctions = _hyperpath(t1, i, j)
+        edges, junctions = hyperpath(t1, i, j)
         path = (i, *junctions, j)
-        colored_a = _component_without(t1, i, edges[0])
+        colored_a = frozenset(reach(t1, i, skip=edges[0]))
         return path, colored_a
 
     i, j = pivot
@@ -481,18 +398,18 @@ def _hypertree_direction(h1: Hypergraph, h2: Hypergraph,
     pair = find_separating_pair(h1, h2)
     u, v = pair.u, pair.v
     shared = next(e for e in h2.edges if u in e and v in e)
-    path_edges, junctions = _hyperpath(h1, u, v)
+    path_edges, junctions = hyperpath(h1, u, v)
     assert len(path_edges) >= 2
     r = len(shared)
 
     # how h2 falls apart around the shared edge
-    comp2 = {x: _component_without(h2, x, shared) for x in shared}
+    comp2 = {x: frozenset(reach(h2, x, skip=shared)) for x in shared}
     side_u2 = comp2[u] - {u}
     side_v2 = comp2[v] - {v}
 
     # how h1 falls apart around the path ends
-    a_u = _component_without(h1, u, path_edges[0])
-    a_v = _component_without(h1, v, path_edges[-1])
+    a_u = frozenset(reach(h1, u, skip=path_edges[0]))
+    a_v = frozenset(reach(h1, v, skip=path_edges[-1]))
     middle = frozenset(h1.agents) - a_u - a_v
 
     path_set = set(path_edges)
@@ -504,10 +421,10 @@ def _hypertree_direction(h1: Hypergraph, h2: Hypergraph,
         # than the shared edge alone.
         w = hangers[0]
         anchor = u if w in side_u2 else v
-        to_w, _ = _hyperpath(h1, anchor, w)
+        to_w, to_w_junctions = hyperpath(h1, anchor, w)
         x_edge = [e for e in to_w if e in path_set][-1]
-        a_side = _component_without(h1, anchor, x_edge)
-        label = "1." + _case1_sublabel(h1, anchor, w, x_edge, path_edges, junctions)
+        a_side = frozenset(reach(h1, anchor, skip=x_edge))
+        label = "1." + _case1_sublabel(w, x_edge, to_w, to_w_junctions, junctions)
     else:
         # CASE 2: pigeonhole a vertex t of the first two path edges into the
         # part of h2 hanging off some third member w of the shared edge.
@@ -523,16 +440,16 @@ def _hypertree_direction(h1: Hypergraph, h2: Hypergraph,
         w = next(x for x in shared if x not in (u, v) and t in comp2[x])
         host = path_edges[0] if t in c1 else path_edges[1]
         c_label = "2.1" if t in c1 else "2.2"
-        t_comp = _component_without(h1, t, host)
+        t_comp = frozenset(reach(h1, t, skip=host))
         if w in host:
             # w shares t's host edge: isolate w's own branch
-            b_side = _component_without(h1, w, host)
+            b_side = frozenset(reach(h1, w, skip=host))
             a_side = frozenset(h1.agents) - b_side
         else:
             # cut h1 where the path from t finally reaches w; t keeps at
             # least one of u, v (and the shared edge keeps w) on the far side
-            to_w, _ = _hyperpath(h1, t, w)
-            a_side = _component_without(h1, t, to_w[-1])
+            to_w, _ = hyperpath(h1, t, w)
+            a_side = frozenset(reach(h1, t, skip=to_w[-1]))
         if w in a_u:
             label = c_label + ".1"
         elif w in a_v:
@@ -549,13 +466,11 @@ def _hypertree_direction(h1: Hypergraph, h2: Hypergraph,
                           path_edges=tuple(path_edges), witness=witness)
 
 
-def _case1_sublabel(h1, anchor, w, x_edge, path_edges, junctions) -> str:
+def _case1_sublabel(w, x_edge, to_w, to_w_junctions, junctions) -> str:
     if w in x_edge:
         return "1"
     # the vertex through which the path to w leaves the cut edge
-    to_w, to_w_junctions = _hyperpath(h1, anchor, w)
-    pos = to_w.index(x_edge)
-    exit_vertex = to_w_junctions[pos] if pos < len(to_w_junctions) else w
+    exit_vertex = [*to_w_junctions, w][to_w.index(x_edge)]
     return "2" if exit_vertex in junctions else "3"
 
 

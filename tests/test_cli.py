@@ -4,16 +4,28 @@ import json
 
 import pytest
 
-from loccgraph import Hypergraph, bcm_cut, format_hypergraph, parse_hypergraph
+from loccgraph import (
+    CatExpand,
+    Discard,
+    Hypergraph,
+    MeasureOut,
+    Swap,
+    bcm_cut,
+    format_hypergraph,
+    parse_hypergraph,
+)
 from loccgraph.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNKNOWN,
     main,
+    move_from_json,
+    move_to_json,
     state_from_json,
     trace_from_json,
     witness_from_json,
 )
+from loccgraph.errors import ParseError
 
 
 def write_state(tmp_path, name, text):
@@ -267,3 +279,78 @@ def test_replay_rejects_malformed_trace(tmp_path, capsys, payload, field):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert len(err.splitlines()) == 1
+
+
+def test_check_past_color_bound_uses_the_search_cuts(tmp_path, capsys):
+    # 23 agents exceed the default color bound of 22, so the exhaustive
+    # scan is skipped; agent degrees still block both directions
+    n = 23
+    path = write_state(tmp_path, "path.txt", f"agents: {n}\n"
+                       + "".join(f"cat: {i} {i + 1}\n" for i in range(1, n)))
+    star = write_state(tmp_path, "star.txt", f"agents: {n}\n"
+                       + "".join(f"cat: 1 {i}\n" for i in range(2, n + 1)))
+    assert main(["check", "--json", path, star]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"] == "incomparable"
+    source, target = (parse_hypergraph(open(p).read()) for p in (path, star))
+    for key, (a, b), cuts in (("forward", (source, target), (1, 22)),
+                              ("backward", (target, source), (1, 2))):
+        direction = report[key]
+        assert direction["verdict"] == "impossible"
+        assert direction["note"].startswith("witness scan skipped")
+        witness = witness_from_json(direction["witness"], source.agents)
+        assert (witness.source_cut, witness.target_cut) == cuts
+        assert (bcm_cut(a, witness.coloring), bcm_cut(b, witness.coloring)) == cuts
+
+
+@pytest.mark.parametrize("r", ["1", "2"])
+def test_verify_theorems_rejects_r_below_three(capsys, r):
+    assert main(["verify-theorems", "--n-max", "3", "--r-list", "3", r]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_theorem_sweeps_survive_optimize_flag():
+    import os
+    import subprocess
+    import sys
+
+    import loccgraph
+
+    # an asymmetric distance must be recorded as a failed sweep, with or
+    # without assert statements
+    script = (
+        "import json, sys\n"
+        "import loccgraph.distance as distance\n"
+        "import loccgraph.cli as cli\n"
+        "assert False, 'assert statements must be stripped under -O'\n"
+        "real = distance.quantum_distance\n"
+        "distance.quantum_distance = lambda a, b: real(a, b) + (a.edges < b.edges)\n"
+        "print(json.dumps(cli._sweep_distance(seed=0, sample_count=5)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loccgraph.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    sweep = json.loads(proc.stdout)
+    assert sweep["name"] == "quantum-distance"
+    assert sweep["failures"] == [{"error": "symmetry"}]
+
+
+@pytest.mark.parametrize("move,keys", [
+    (Discard((1, 2)), ["kind", "edge"]),
+    (MeasureOut((1, 2, 3), 2), ["kind", "edge", "agent"]),
+    (Swap((1, 2), (2, 3)), ["kind", "left", "right"]),
+    (CatExpand((1, 2, 3), (3, 4)), ["kind", "edge", "pair"]),
+])
+def test_move_codec_round_trips_in_key_order(move, keys):
+    data = move_to_json(move)
+    assert list(data) == keys
+    assert move_from_json(json.loads(json.dumps(data))) == move
+
+
+def test_move_codec_rejects_unknown_kind():
+    with pytest.raises(ParseError):
+        move_from_json({"kind": "teleport", "edge": [1, 2]})

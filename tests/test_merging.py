@@ -17,7 +17,7 @@ from loccgraph import (
     path_tree,
     star_tree,
 )
-from loccgraph.enumeration import all_bicolorings, random_spanning_tree
+from loccgraph.enumeration import random_spanning_tree
 from loccgraph.errors import MismatchedAgents, SearchBoundExceeded
 from loccgraph.merging import iter_bicolorings
 
@@ -58,7 +58,7 @@ def test_reduce_records_collapse_per_hyperedge():
 
 def test_reduce_count_matches_cut():
     h = H(6, (1, 2, 3), (3, 4), (4, 5, 6), (1, 6))
-    for c in all_bicolorings(h.agents):
+    for c in iter_bicolorings(h.agents):
         assert bcm_reduce(h, c).cross_edge_count == bcm_cut(h, c)
 
 
@@ -97,12 +97,12 @@ def test_search_bound_enforced():
 
 
 def test_coloring_stream_is_pinned_and_counted():
-    cols = list(all_bicolorings((1, 2, 3)))
+    cols = list(iter_bicolorings((1, 2, 3)))
     assert len(cols) == 4
     assert cols[0].a_side == frozenset()
     assert all(1 in c.b_side for c in cols)
-    assert len(list(all_bicolorings((1,)))) == 1
-    assert len(list(all_bicolorings(range(1, 6)))) == 16
+    assert len(list(iter_bicolorings((1,)))) == 1
+    assert len(list(iter_bicolorings(range(1, 6)))) == 16
 
 
 # ---------------------------------------------------------------------------

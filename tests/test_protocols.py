@@ -1,5 +1,6 @@
 """LOCC move calculus, constructive protocols, reachability."""
 
+import itertools
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from loccgraph import (
     tree_to_cat,
     trees_copies_to_tree,
 )
-from loccgraph.enumeration import random_spanning_tree
+from loccgraph.enumeration import all_spanning_trees, random_spanning_tree
 from loccgraph.errors import BadAgents, BudgetExceeded, IllegalMove, NotSpanningTree
 from loccgraph.distance import quantum_distance
 
@@ -98,12 +99,12 @@ def test_tree_to_cat_star():
 
 
 def test_tree_to_cat_uses_exactly_n_minus_two_moves():
-    for n in range(2, 8):
-        for seed in range(5):
-            t = random_spanning_tree(n, seed) if n > 2 else path_tree(2)
-            trace = tree_to_cat(t)
-            assert len(trace.moves) == max(0, n - 2)
-            assert trace.end == cat_state(n)
+    random_trees = (random_spanning_tree(n, seed) for n in range(3, 8) for seed in range(5))
+    for t in itertools.chain([path_tree(2)], random_trees, all_spanning_trees(6)):
+        trace = tree_to_cat(t)
+        assert len(trace.moves) == max(0, t.n - 2)
+        assert trace.end == cat_state(t.n)
+        assert replay_trace(trace) == cat_state(t.n)
 
 
 def test_tree_to_cat_rejects_non_trees():
