@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: check, verify-theorems, distance, protocol, replay, enumerate,
-export-dot.  Exit codes: 0 definite result, 2 input error, 3 Unknown,
-4 internal inconsistency (a witness and a trace for the same direction,
-which must never happen).
+export-dot.  Exit codes: 0 definite result, 1 a failed theorem sweep, 2 an
+input error (malformed input, an unmet precondition or an exceeded bound),
+3 Unknown, 4 internal inconsistency (a violated invariant, such as a
+witness and a trace for the same direction, which must never happen).
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import __version__
-from .errors import (
-    BudgetExceeded,
-    LoccError,
-    MismatchedAgents,
-    ParseError,
-    RTooSmall,
-    SearchBoundExceeded,
-)
+from .errors import BoundExceeded, InputError, LoccError, require
 from .hypergraph import (
     Hypergraph,
     format_hypergraph,
@@ -51,7 +45,7 @@ from .protocols import (
     reachability_search,
     replay_trace,
 )
-from .enumeration import all_spanning_trees, random_r_uniform_hypertree
+from .enumeration import TREE_ENUM_MAX_N, all_spanning_trees, random_r_uniform_hypertree
 from .distance import distance_report
 from .witnesses import (
     check_order_chain,
@@ -110,10 +104,15 @@ def move_from_json(data: dict) -> LoccMove:
     kind = data["kind"]
     cls = MOVE_KINDS.get(kind)
     if cls is None:
-        raise ParseError(f"unknown move kind {kind!r}")
+        raise InputError(f"unknown move kind {kind!r}")
+    values = {f.name: data[f.name] for f in fields(cls)}
     # every field is an edge except MeasureOut's agent
-    return cls(**{f.name: data[f.name] if f.name == "agent" else tuple(data[f.name])
-                  for f in fields(cls)})
+    for name, value in values.items():
+        if not all(type(m) is int for m in ([value] if name == "agent" else value)):
+            raise InputError(f"{kind} move field {name!r} holds a non-integer agent: "
+                             f"{value!r}")
+    return cls(**{name: value if name == "agent" else tuple(value)
+                  for name, value in values.items()})
 
 
 def trace_to_json(t: ProtocolTrace) -> dict:
@@ -125,24 +124,31 @@ def trace_to_json(t: ProtocolTrace) -> dict:
 
 
 def trace_from_json(data: dict) -> ProtocolTrace:
-    """Decode and replay a trace; malformed JSON raises ParseError."""
+    """Decode and replay a trace; malformed JSON raises InputError."""
     try:
         start = state_from_json(data["start"])
         moves = [move_from_json(m) for m in data["moves"]]
         end = state_from_json(data["end"])
     except KeyError as exc:
-        raise ParseError(f"trace JSON lacks the field {exc}") from None
+        raise InputError(f"trace JSON lacks the field {exc}") from None
     except TypeError as exc:
-        raise ParseError(f"trace JSON has the wrong shape: {exc}") from None
+        raise InputError(f"trace JSON has the wrong shape: {exc}") from None
     trace = make_trace(start, moves)
     if trace.end != end:
-        raise ValueError("trace end state does not replay")
+        raise InputError("trace end state does not replay")
     return trace
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc)) from None
+
+
 def _read_state(path: str) -> Hypergraph:
-    with open(path, encoding="utf-8") as f:
-        return parse_hypergraph(f.read())
+    return parse_hypergraph(_read_text(path))
 
 
 def _file_sha256(path: str) -> str:
@@ -162,8 +168,8 @@ class DirectionVerdict:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.trace is not None and self.witness is not None:
-            raise AssertionError("a direction cannot be possible and impossible at once")
+        require(self.trace is None or self.witness is None,
+                "a direction cannot be possible and impossible at once")
 
 
 @dataclass(frozen=True)
@@ -196,7 +202,7 @@ def _judge_direction(source: Hypergraph, target: Hypergraph, *,
         witness = find_blocking_witness(source, target,
                                         color_bound=color_bound,
                                         direction=direction)
-    except SearchBoundExceeded as exc:
+    except BoundExceeded as exc:
         note = f"witness scan skipped: {exc}"
         side = _cut_pruner(target)(source)
         if side is not None:
@@ -206,7 +212,7 @@ def _judge_direction(source: Hypergraph, target: Hypergraph, *,
     if witness is None:
         try:
             trace = reachability_search(source, target, budget=search_budget)
-        except BudgetExceeded as exc:
+        except BoundExceeded as exc:
             note = (note + "; " if note else "") + f"search truncated: {exc}"
     if witness is not None:
         return DirectionVerdict("impossible", witness=witness, note=note)
@@ -234,7 +240,7 @@ def cmd_check(args) -> int:
     source = _read_state(args.source)
     target = _read_state(args.target)
     if source.agents != target.agents:
-        raise MismatchedAgents("inputs do not share one agent set")
+        raise InputError("inputs do not share one agent set")
     forward = _judge_direction(source, target,
                                color_bound=args.color_bound,
                                search_budget=args.search_budget,
@@ -300,7 +306,7 @@ def cmd_protocol(args) -> int:
     target = _read_state(args.target)
     try:
         trace = reachability_search(source, target, budget=args.search_budget)
-    except BudgetExceeded:
+    except BoundExceeded:
         print("search budget exhausted before covering the space", file=sys.stderr)
         return EXIT_UNKNOWN
     if trace is None:
@@ -316,8 +322,10 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with open(args.trace, encoding="utf-8") as f:
-        data = json.load(f)
+    try:
+        data = json.loads(_read_text(args.trace))
+    except json.JSONDecodeError as exc:
+        raise InputError(str(exc)) from None
     trace = trace_from_json(data)
     replay_trace(trace)
     print(f"replay OK, end state matches ({len(trace.moves)} moves)")
@@ -327,11 +335,9 @@ def cmd_replay(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.kind == "trees":
         instances = all_spanning_trees(args.n)
-    elif args.kind == "hypertrees":
+    else:
         instances = (random_r_uniform_hypertree(args.n, args.r, args.seed + i)
                      for i in range(args.count))
-    else:
-        raise ValueError(f"unknown kind {args.kind!r}")
     first = True
     for h in instances:
         if not first:
@@ -365,12 +371,6 @@ def cmd_export_dot(args) -> int:
 # theorem sweeps
 # ---------------------------------------------------------------------------
 
-def _require(holds: bool, claim: str) -> None:
-    """A theorem check that, unlike `assert`, survives `python -O`."""
-    if not holds:
-        raise AssertionError(claim)
-
-
 def _sweep_order_chains(n_max: int) -> dict:
     fails = []
     for n in range(3, n_max + 1):
@@ -388,13 +388,15 @@ def _sweep_tree_pairs(n_max: int) -> dict:
         trees = list(all_spanning_trees(n))
         for t1, t2 in itertools.combinations(trees, 2):
             checked += 1
-            ok = True
-            for a, b in ((t1, t2), (t2, t1)):
-                _, witness = witness_distinct_spanning_trees(a, b)
-                oracle = find_blocking_witness(a, b)
-                ok = ok and witness.target_cut > witness.source_cut and oracle is not None
-            if not ok and len(fails) < 1:
-                fails.append({"n": n, "t1": state_to_json(t1), "t2": state_to_json(t2)})
+            try:
+                for a, b in ((t1, t2), (t2, t1)):
+                    _, witness = witness_distinct_spanning_trees(a, b)
+                    require(witness.target_cut > witness.source_cut, "the tree split blocks")
+                    require(find_blocking_witness(a, b) is not None, "the scan blocks")
+            except (AssertionError, LoccError) as exc:
+                if not fails:
+                    fails.append({"n": n, "t1": state_to_json(t1), "t2": state_to_json(t2),
+                                  "error": str(exc)})
     return {"name": "spanning-tree-incomparability", "checked": checked, "failures": fails}
 
 
@@ -403,9 +405,11 @@ def _sweep_tree_counts(n_max: int) -> dict:
     checked = 0
     for n in range(3, min(n_max, 6) + 1):
         checked += 1
-        count = sum(1 for _ in all_spanning_trees(n))
-        if count != n ** (n - 2):
-            fails.append({"n": n, "count": count, "expected": n ** (n - 2)})
+        try:
+            require(sum(1 for _ in all_spanning_trees(n)) == n ** (n - 2),
+                    "n^(n-2) labeled trees")
+        except (AssertionError, LoccError) as exc:
+            fails.append({"n": n, "error": str(exc)})
     return {"name": "tree-count", "checked": checked, "failures": fails}
 
 
@@ -415,10 +419,12 @@ def _sweep_copy_bounds(n_max: int) -> dict:
     for n in range(3, n_max + 1):
         for t in all_spanning_trees(n):
             checked += 1
-            bound = min_copies_lower_bound(cat_state(n), t)
-            trace = cat_copies_to_tree(t)
-            if bound != n - 1 or trace.end != t:
-                fails.append({"n": n, "tree": state_to_json(t), "bound": bound})
+            try:
+                require(min_copies_lower_bound(cat_state(n), t) == n - 1,
+                        "the copy lower bound is n - 1")
+                require(cat_copies_to_tree(t).end == t, "n - 1 CAT copies make the tree")
+            except (AssertionError, LoccError) as exc:
+                fails.append({"n": n, "tree": state_to_json(t), "error": str(exc)})
                 break
     return {"name": "cat-copy-bound", "checked": checked, "failures": fails}
 
@@ -444,10 +450,10 @@ def _sweep_r_uniform(r_list, seed: int, sample_count: int) -> dict:
             try:
                 pair = find_separating_pair(h1, h2)
                 fwd, bwd = r_uniform_incomparability(h1, h2)
-                _require(fwd.witness.target_cut > fwd.witness.source_cut, "h1 -/-> h2")
-                _require(bwd.witness.target_cut > bwd.witness.source_cut, "h2 -/-> h1")
+                require(fwd.witness.target_cut > fwd.witness.source_cut, "h1 -/-> h2")
+                require(bwd.witness.target_cut > bwd.witness.source_cut, "h2 -/-> h1")
             except (AssertionError, LoccError) as exc:
-                if len(fails) < 1:
+                if not fails:
                     fails.append({"r": r, "n": n,
                                   "h1": state_to_json(h1), "h2": state_to_json(h2),
                                   "error": str(exc)})
@@ -480,7 +486,7 @@ def _sweep_disconnected(seed: int, sample_count: int) -> dict:
             try:
                 witness_disconnected_vs_cat(g)
                 witness_cat_vs_disconnected(g)
-            except (AssertionError, LoccError, ValueError) as exc:
+            except (AssertionError, LoccError) as exc:
                 if not fails:
                     fails.append({"n": n, "g": state_to_json(g), "error": str(exc)})
     return {"name": "disconnected-vs-cat", "checked": checked, "failures": fails}
@@ -503,8 +509,8 @@ def _sweep_pendant(seed: int, sample_count: int) -> dict:
         checked += 1
         try:
             witness_pendant_condition(h1, h2)
-            _require(find_blocking_witness(h1, h2) is not None, "scan finds h1 -/-> h2")
-            _require(find_blocking_witness(h2, h1) is not None, "scan finds h2 -/-> h1")
+            require(find_blocking_witness(h1, h2) is not None, "scan finds h1 -/-> h2")
+            require(find_blocking_witness(h2, h1) is not None, "scan finds h2 -/-> h1")
         except (AssertionError, LoccError) as exc:
             if not fails:
                 fails.append({"h1": state_to_json(h1), "h2": state_to_json(h2),
@@ -529,19 +535,19 @@ def _sweep_distance(seed: int, sample_count: int) -> dict:
             b = random_spanning_tree(n, rng.randrange(10 ** 9))
             c = random_spanning_tree(n, rng.randrange(10 ** 9))
             checked += 1
-            _require(quantum_distance(a, b) == quantum_distance(b, a), "symmetry")
-            _require((quantum_distance(a, b) == 0) == (a == b), "zero iff equal")
-            _require(quantum_distance(a, c) <= quantum_distance(a, b) + quantum_distance(b, c),
-                     "triangle inequality")
+            require(quantum_distance(a, b) == quantum_distance(b, a), "symmetry")
+            require((quantum_distance(a, b) == 0) == (a == b), "zero iff equal")
+            require(quantum_distance(a, c) <= quantum_distance(a, b) + quantum_distance(b, c),
+                    "triangle inequality")
             if a != b:
                 rep = distance_report(a, b)
-                _require(2 <= rep.copies_lower <= rep.copies_upper == rep.qd + 1,
-                         "2 <= copies_lower <= copies_upper == qd + 1")
-                _require(replay_trace(rep.upper_trace) == b, "upper trace reaches b")
+                require(2 <= rep.copies_lower <= rep.copies_upper == rep.qd + 1,
+                        "2 <= copies_lower <= copies_upper == qd + 1")
+                require(replay_trace(rep.upper_trace) == b, "upper trace reaches b")
         low, high = find_saturating_pairs(3)
-        _require(distance_report(*low).copies_lower == 2, "lower bound 2 is attained")
+        require(distance_report(*low).copies_lower == 2, "lower bound 2 is attained")
         rep = distance_report(*high)
-        _require(rep.copies_lower == rep.copies_upper, "upper bound qd + 1 is attained")
+        require(rep.copies_lower == rep.copies_upper, "upper bound qd + 1 is attained")
     except (AssertionError, LoccError) as exc:
         fails.append({"error": str(exc)})
     return {"name": "quantum-distance", "checked": checked, "failures": fails}
@@ -566,23 +572,35 @@ def _sweep_soundness(seed: int, sample_count: int) -> dict:
             continue
         checked += 1
         move = moves[rng.randrange(len(moves))]
-        after = apply_move(state, move)
         mask = rng.randrange(1 << n)
         coloring = Bicoloring(state.agents,
                               frozenset(a for i, a in enumerate(state.agents)
                                         if mask >> i & 1))
-        if bcm_cut(after, coloring) > bcm_cut(state, coloring):
+        try:
+            require(bcm_cut(apply_move(state, move), coloring) <= bcm_cut(state, coloring),
+                    "no move raises a cut")
+        except (AssertionError, LoccError) as exc:
             fails.append({"state": state_to_json(state),
                           "move": move_to_json(move),
-                          "coloring": coloring.bits()})
+                          "coloring": coloring.bits(),
+                          "error": str(exc)})
             break
     return {"name": "move-soundness", "checked": checked, "failures": fails}
 
 
 def cmd_verify_theorems(args) -> int:
+    # checked before any sweep runs: a sweep over no cases would pass
+    # vacuously, and an --n-max past the enumeration bound would fail only
+    # after the sweeps at n = 7
+    if not 3 <= args.n_max <= TREE_ENUM_MAX_N:
+        raise InputError(f"--n-max must lie in 3..{TREE_ENUM_MAX_N}, got {args.n_max}")
+    if args.sample_count < 1:
+        raise InputError(f"--sample-count must be at least 1, got {args.sample_count}")
+    if not args.r_list:
+        raise InputError("--r-list needs at least one value")
     if any(r < 3 for r in args.r_list):
-        raise RTooSmall(f"--r-list values must be at least 3, got {min(args.r_list)} "
-                        "(r = 2 is the spanning-tree case, which the tree sweeps cover)")
+        raise InputError(f"--r-list values must be at least 3, got {min(args.r_list)} "
+                         "(r = 2 is the spanning-tree case, which the tree sweeps cover)")
     sweeps = [
         _sweep_order_chains(args.n_max),
         _sweep_tree_counts(args.n_max),
@@ -675,7 +693,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, MismatchedAgents, LoccError, ValueError) as exc:
+    except (LoccError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

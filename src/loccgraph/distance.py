@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import MismatchedAgents, NotSpanningTree
+from .errors import InputError, require
 from .hypergraph import Hypergraph, is_spanning_epr_tree
 from .merging import min_copies_lower_bound
 from .protocols import ProtocolTrace, trees_copies_to_tree
@@ -24,9 +24,9 @@ from .enumeration import all_spanning_trees
 def _require_trees(t1: Hypergraph, t2: Hypergraph) -> None:
     for t in (t1, t2):
         if not is_spanning_epr_tree(t):
-            raise NotSpanningTree("both inputs must be spanning EPR trees")
+            raise InputError("both inputs must be spanning EPR trees")
     if t1.agents != t2.agents:
-        raise MismatchedAgents("trees must span the same agents")
+        raise InputError("trees must span the same agents")
 
 
 def quantum_distance(t1: Hypergraph, t2: Hypergraph) -> int:
@@ -60,7 +60,7 @@ def distance_report(t1: Hypergraph, t2: Hypergraph) -> DistanceReport:
         lower = max(2, int(min_copies_lower_bound(t1, t2)))
     report = DistanceReport(qd=qd, copies_lower=lower, copies_upper=qd + 1,
                             qubit_upper=qd, upper_trace=trace)
-    assert report.copies_lower <= report.copies_upper
+    require(report.copies_lower <= report.copies_upper, "copies_lower <= copies_upper")
     return report
 
 
@@ -82,4 +82,4 @@ def find_saturating_pairs(n: int) -> tuple[tuple[Hypergraph, Hypergraph],
             high = (t1, t2)
         if low is not None and high is not None:
             return low, high
-    raise ValueError(f"no saturating pairs among the trees on {n} agents")
+    raise InputError(f"no saturating pairs among the trees on {n} agents")

@@ -10,7 +10,7 @@ import random
 from collections import Counter
 from typing import Iterator
 
-from .errors import BoundExceeded, IncompatibleParameters, InvalidSequence, NotSpanningTree
+from .errors import BoundExceeded, InputError
 from .hypergraph import Hypergraph, is_spanning_epr_tree
 
 TREE_ENUM_MAX_N = 7  # n^(n-2) <= 16807
@@ -20,11 +20,11 @@ def prufer_decode(symbols, n: int) -> Hypergraph:
     """Decode a length n-2 sequence over 1..n into its labeled spanning tree."""
     symbols = tuple(symbols)
     if n < 2:
-        raise InvalidSequence("need at least two agents")
+        raise InputError("need at least two agents")
     if len(symbols) != n - 2:
-        raise InvalidSequence(f"sequence length {len(symbols)} != n-2 = {n - 2}")
+        raise InputError(f"sequence length {len(symbols)} != n-2 = {n - 2}")
     if any(s < 1 or s > n for s in symbols):
-        raise InvalidSequence("symbols must lie in 1..n")
+        raise InputError("symbols must lie in 1..n")
     remaining = Counter(symbols)
     leaves = [v for v in range(1, n + 1) if remaining[v] == 0]
     heapq.heapify(leaves)
@@ -44,7 +44,7 @@ def prufer_decode(symbols, n: int) -> Hypergraph:
 def prufer_encode(t: Hypergraph) -> tuple[int, ...]:
     """Inverse of prufer_decode; requires a spanning EPR tree."""
     if not is_spanning_epr_tree(t):
-        raise NotSpanningTree("can only encode a spanning EPR tree")
+        raise InputError("can only encode a spanning EPR tree")
     n = t.n
     neighbors: dict[int, set[int]] = {a: set() for a in t.agents}
     for a, b in t.edges:
@@ -86,9 +86,9 @@ def random_r_uniform_hypertree(n: int, r: int, seed: int) -> Hypergraph:
     seeded relabeling.  Requires n = m*(r-1) + 1 for some m >= 1.
     """
     if r < 2:
-        raise IncompatibleParameters("r must be at least 2")
+        raise InputError("r must be at least 2")
     if n < r or (n - 1) % (r - 1) != 0:
-        raise IncompatibleParameters(f"no m >= 1 satisfies n = m*(r-1)+1 for n={n}, r={r}")
+        raise InputError(f"no m >= 1 satisfies n = m*(r-1)+1 for n={n}, r={r}")
     m = (n - 1) // (r - 1)
     rng = random.Random(seed)
     vertices = list(range(1, r + 1))

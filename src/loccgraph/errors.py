@@ -1,11 +1,21 @@
-"""Exception types shared across the package."""
+"""The package's error taxonomy: the kinds of failure callers branch on.
+
+* InputError    -- malformed input or an unmet precondition;
+* BoundExceeded -- a configured bound was hit (coloring bound, search
+                   budget, tree-enumeration bound), so no answer was reached;
+* IllegalMove   -- an LOCC move whose precondition fails in its state;
+* AssertionError, raised only by `require` -- an internal inconsistency.
+"""
 
 
 class LoccError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ParseError(LoccError):
+class InputError(LoccError, ValueError):
+    """Malformed input or an unmet precondition.  `line` is the 1-based
+    line of the text input it was found on, when there is one."""
+
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
@@ -13,47 +23,7 @@ class ParseError(LoccError):
         self.line = line
 
 
-class EmptyStructure(LoccError):
-    pass
-
-
-class MismatchedAgents(LoccError):
-    pass
-
-
-class SearchBoundExceeded(LoccError):
-    pass
-
-
-class InputConnected(LoccError):
-    pass
-
-
-class TooFewEdges(LoccError):
-    pass
-
-
-class NotSpanningTree(LoccError):
-    pass
-
-
-class EqualTrees(LoccError):
-    pass
-
-
-class ConditionNotMet(LoccError):
-    pass
-
-
-class NotRUniformHypertrees(LoccError):
-    pass
-
-
-class EqualHypertrees(LoccError):
-    pass
-
-
-class RTooSmall(LoccError):
+class BoundExceeded(LoccError):
     pass
 
 
@@ -61,21 +31,7 @@ class IllegalMove(LoccError):
     pass
 
 
-class BadAgents(LoccError):
-    pass
-
-
-class BudgetExceeded(LoccError):
-    pass
-
-
-class BoundExceeded(LoccError):
-    pass
-
-
-class InvalidSequence(LoccError):
-    pass
-
-
-class IncompatibleParameters(LoccError):
-    pass
+def require(holds: bool, claim: str) -> None:
+    """An invariant check that, unlike `assert`, survives `python -O`."""
+    if not holds:
+        raise AssertionError(claim)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptyStructure, ParseError
+from .errors import IllegalMove, InputError, require
 
 Edge = tuple[int, ...]
 
@@ -39,19 +39,19 @@ class Hypergraph:
     def __post_init__(self) -> None:
         agents = tuple(sorted(self.agents))
         if not agents:
-            raise ValueError("agent set must be nonempty")
+            raise InputError("agent set must be nonempty")
         if len(set(agents)) != len(agents):
-            raise ValueError("agent labels must be unique")
+            raise InputError("agent labels must be unique")
         known = set(agents)
         canon = []
         for edge in self.edges:
             e = tuple(sorted(edge))
             if len(e) < 2:
-                raise ValueError(f"hyperedge {e} has fewer than two members")
+                raise InputError(f"hyperedge {e} has fewer than two members")
             if len(set(e)) != len(e):
-                raise ValueError(f"hyperedge {tuple(edge)} repeats a member")
+                raise InputError(f"hyperedge {tuple(edge)} repeats a member")
             if not known.issuperset(e):
-                raise ValueError(f"hyperedge {e} uses agents outside {agents}")
+                raise InputError(f"hyperedge {e} uses agents outside {agents}")
             canon.append(e)
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
@@ -75,10 +75,14 @@ class Hypergraph:
 
     def replace(self, remove=(), add=()) -> "Hypergraph":
         """New hypergraph with one instance of each `remove` edge swapped
-        for the `add` edges.  Raises ValueError if an instance is absent."""
+        for the `add` edges.  Raises IllegalMove if an instance is absent."""
         pool = list(self.edges)
         for edge in remove:
-            pool.remove(tuple(sorted(edge)))
+            e = tuple(sorted(edge))
+            try:
+                pool.remove(e)
+            except ValueError:
+                raise IllegalMove(f"hyperedge {e} is not in the state") from None
         pool.extend(tuple(sorted(edge)) for edge in add)
         return Hypergraph(self.agents, tuple(pool))
 
@@ -90,7 +94,7 @@ class Hypergraph:
 def cat_state(n: int) -> Hypergraph:
     """The n-CAT: one hyperedge over agents 1..n (the 2-CAT is an EPR pair)."""
     if n < 2:
-        raise ValueError("a CAT state needs at least two agents")
+        raise InputError("a CAT state needs at least two agents")
     return Hypergraph(tuple(range(1, n + 1)), (tuple(range(1, n + 1)),))
 
 
@@ -114,7 +118,7 @@ def star_tree(n: int, center: int = 1) -> Hypergraph:
 def copies(h: Hypergraph, k: int) -> Hypergraph:
     """k copies of every shared state of h (k >= 1)."""
     if k < 1:
-        raise ValueError("need at least one copy")
+        raise InputError("need at least one copy")
     return Hypergraph(h.agents, h.edges * k)
 
 
@@ -161,7 +165,7 @@ def hyperpath(h: Hypergraph, a: int, b: int) -> tuple[list[Edge], list[int]]:
     edges and the junction vertices between consecutive edges."""
     via = reach(h, a)
     if b not in via:
-        raise ValueError(f"no hyperpath between {a} and {b}")
+        raise InputError(f"no hyperpath between {a} and {b}")
     vertices, edges = [b], []  # walked back from b to a
     while via[vertices[-1]] is not None:
         prev, e = via[vertices[-1]]
@@ -207,7 +211,7 @@ def is_entangled_hypertree(h: Hypergraph) -> bool:
 def uniformity(h: Hypergraph) -> int | None:
     """The common hyperedge size r, or None if sizes are mixed."""
     if not h.edges:
-        raise EmptyStructure("uniformity of an edgeless hypergraph is undefined")
+        raise InputError("uniformity of an edgeless hypergraph is undefined")
     sizes = {len(e) for e in h.edges}
     if len(sizes) == 1:
         return sizes.pop()
@@ -244,8 +248,8 @@ def structure_report(h: Hypergraph) -> StructureReport:
     uniform_r = uniformity(h) if h.edges else None
     hypertree = is_entangled_hypertree(h)
     if hypertree and uniform_r is not None:
-        # edge-count law for uniform hypertrees
-        assert len(h.edges) * (uniform_r - 1) + 1 == h.n
+        require(len(h.edges) * (uniform_r - 1) + 1 == h.n,
+                "edge-count law for uniform hypertrees")
     return StructureReport(
         connected=is_connected(h),
         is_hypertree=hypertree,
@@ -273,40 +277,40 @@ def parse_hypergraph(text: str) -> Hypergraph:
             continue
         if stripped.startswith("agents:"):
             if n is not None:
-                raise ParseError("duplicate 'agents:' header", lineno)
+                raise InputError("duplicate 'agents:' header", lineno)
             body = stripped[len("agents:"):].strip()
             try:
                 n = int(body)
             except ValueError:
-                raise ParseError(f"bad agent count {body!r}", lineno) from None
+                raise InputError(f"bad agent count {body!r}", lineno) from None
             if n < 1:
-                raise ParseError("agent count must be >= 1", lineno)
+                raise InputError("agent count must be >= 1", lineno)
         elif stripped.startswith("cat:"):
             body = stripped[len("cat:"):].split()
             try:
                 members = tuple(int(tok) for tok in body)
             except ValueError:
-                raise ParseError("hyperedge members must be integers", lineno) from None
+                raise InputError("hyperedge members must be integers", lineno) from None
             if len(members) < 2:
-                raise ParseError("a hyperedge needs at least two members", lineno)
+                raise InputError("a hyperedge needs at least two members", lineno)
             if len(set(members)) != len(members):
-                raise ParseError("hyperedge repeats a member", lineno)
+                raise InputError("hyperedge repeats a member", lineno)
             raw_edges.append((lineno, members))
         else:
-            raise ParseError(f"unrecognized line {stripped!r}", lineno)
+            raise InputError(f"unrecognized line {stripped!r}", lineno)
     if n is None:
-        raise ParseError("missing 'agents: n' header")
+        raise InputError("missing 'agents: n' header")
     agents = tuple(range(1, n + 1))
     for lineno, members in raw_edges:
         if any(m < 1 or m > n for m in members):
-            raise ParseError(f"member outside 1..{n}", lineno)
+            raise InputError(f"member outside 1..{n}", lineno)
     return Hypergraph(agents, tuple(members for _, members in raw_edges))
 
 
 def format_hypergraph(h: Hypergraph) -> str:
     """Canonical emission: members ascending, hyperedges lexicographic."""
     if h.agents != tuple(range(1, h.n + 1)):
-        raise ValueError("canonical text format requires agents numbered 1..n")
+        raise InputError("canonical text format requires agents numbered 1..n")
     lines = [f"agents: {h.n}"]
     lines.extend("cat: " + " ".join(str(m) for m in e) for e in h.edges)
     return "\n".join(lines) + "\n"

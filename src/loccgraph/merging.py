@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import MismatchedAgents, SearchBoundExceeded
+from .errors import BoundExceeded, InputError
 from .hypergraph import Edge, Hypergraph
 
 DEFAULT_COLOR_BOUND = 22
@@ -33,7 +33,7 @@ class Bicoloring:
         agents = tuple(sorted(self.agents))
         a_side = frozenset(self.a_side)
         if not a_side.issubset(agents):
-            raise ValueError("A-side contains unknown agents")
+            raise InputError("A-side contains unknown agents")
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "a_side", a_side)
 
@@ -60,7 +60,7 @@ class Bicoloring:
     def from_bits(cls, agents, bits: str) -> "Bicoloring":
         agents = tuple(sorted(agents))
         if len(bits) != len(agents) or set(bits) - {"0", "1"}:
-            raise ValueError("bit string does not match agent set")
+            raise InputError("bit string does not match agent set")
         return cls(agents, frozenset(a for a, b in zip(agents, bits) if b == "1"))
 
 
@@ -89,7 +89,7 @@ class BlockingWitness:
 
     def __post_init__(self) -> None:
         if not self.target_cut > self.source_cut:
-            raise ValueError(
+            raise InputError(
                 f"not a witness: target cut {self.target_cut} "
                 f"<= source cut {self.source_cut}")
 
@@ -129,7 +129,7 @@ def iter_bicolorings(agents, bound: int = DEFAULT_COLOR_BOUND) -> Iterator[Bicol
     agents = tuple(sorted(agents))
     n = len(agents)
     if n > bound:
-        raise SearchBoundExceeded(f"{n} agents exceeds the coloring bound {bound}")
+        raise BoundExceeded(f"{n} agents exceeds the coloring bound {bound}")
     rest = agents[1:]
     for mask in range(1 << (n - 1)):
         a_side = frozenset(a for i, a in enumerate(rest) if mask >> i & 1)
@@ -141,7 +141,7 @@ def make_witness(source: Hypergraph, target: Hypergraph,
                  direction: tuple[str, str] = ("source", "target")) -> BlockingWitness:
     """Build a witness by recomputing both cuts; raises if it is not one."""
     if source.agents != target.agents:
-        raise MismatchedAgents("source and target share no common agent set")
+        raise InputError("source and target share no common agent set")
     return BlockingWitness(
         coloring=coloring,
         source_cut=bcm_cut(source, coloring),
@@ -162,7 +162,7 @@ def find_blocking_witness(source: Hypergraph, target: Hypergraph, *,
     explicit protocol trace.
     """
     if source.agents != target.agents:
-        raise MismatchedAgents("source and target must share one agent set")
+        raise InputError("source and target must share one agent set")
     for coloring in iter_bicolorings(source.agents, bound=color_bound):
         s = bcm_cut(source, coloring)
         t = bcm_cut(target, coloring)
@@ -182,7 +182,7 @@ def min_copies_lower_bound(source: Hypergraph, target: Hypergraph, *,
     number of copies suffices), and 0 when the target has no hyperedges.
     """
     if source.agents != target.agents:
-        raise MismatchedAgents("source and target must share one agent set")
+        raise InputError("source and target must share one agent set")
     best: int = 0
     for coloring in iter_bicolorings(source.agents, bound=color_bound):
         if not coloring.nontrivial:

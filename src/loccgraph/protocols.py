@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Union
 
-from .errors import BadAgents, BudgetExceeded, IllegalMove, MismatchedAgents, NotSpanningTree
+from .errors import BoundExceeded, IllegalMove, InputError, require
 from .hypergraph import (
     Edge,
     Hypergraph,
@@ -84,41 +84,38 @@ def apply_move(state: Hypergraph, move: LoccMove) -> Hypergraph:
 
     Raises IllegalMove with the violated precondition.
     """
-    try:
-        if isinstance(move, Discard):
-            return state.replace(remove=[move.edge])
-        if isinstance(move, MeasureOut):
-            edge = tuple(sorted(move.edge))
-            if len(edge) < 3:
-                raise IllegalMove("measure-out needs a hyperedge of size >= 3")
-            if move.agent not in edge:
-                raise IllegalMove(f"agent {move.agent} not in hyperedge {edge}")
-            return state.replace(remove=[edge],
-                                 add=[tuple(m for m in edge if m != move.agent)])
-        if isinstance(move, Swap):
-            e1 = tuple(sorted(move.left))
-            e2 = tuple(sorted(move.right))
-            if len(e1) != 2 or len(e2) != 2:
-                raise IllegalMove("swap operates on two EPR pairs")
-            shared = set(e1) & set(e2)
-            if len(shared) != 1:
-                raise IllegalMove(f"swap pairs {e1}, {e2} must share exactly one agent")
-            new = tuple(sorted(set(e1) ^ set(e2)))
-            return state.replace(remove=[e1, e2], add=[new])
-        if isinstance(move, CatExpand):
-            edge = tuple(sorted(move.edge))
-            pair = tuple(sorted(move.pair))
-            if len(pair) != 2:
-                raise IllegalMove("cat expansion consumes an EPR pair")
-            inside = set(pair) & set(edge)
-            if len(inside) != 1:
-                raise IllegalMove(
-                    f"pair {pair} must touch hyperedge {edge} in exactly one agent")
-            fresh = (set(pair) - inside).pop()
-            return state.replace(remove=[edge, pair],
-                                 add=[tuple(sorted(edge + (fresh,)))])
-    except ValueError as exc:  # replace() did not find an operand instance
-        raise IllegalMove(str(exc)) from None
+    if isinstance(move, Discard):
+        return state.replace(remove=[move.edge])
+    if isinstance(move, MeasureOut):
+        edge = tuple(sorted(move.edge))
+        if len(edge) < 3:
+            raise IllegalMove("measure-out needs a hyperedge of size >= 3")
+        if move.agent not in edge:
+            raise IllegalMove(f"agent {move.agent} not in hyperedge {edge}")
+        return state.replace(remove=[edge],
+                             add=[tuple(m for m in edge if m != move.agent)])
+    if isinstance(move, Swap):
+        e1 = tuple(sorted(move.left))
+        e2 = tuple(sorted(move.right))
+        if len(e1) != 2 or len(e2) != 2:
+            raise IllegalMove("swap operates on two EPR pairs")
+        shared = set(e1) & set(e2)
+        if len(shared) != 1:
+            raise IllegalMove(f"swap pairs {e1}, {e2} must share exactly one agent")
+        new = tuple(sorted(set(e1) ^ set(e2)))
+        return state.replace(remove=[e1, e2], add=[new])
+    if isinstance(move, CatExpand):
+        edge = tuple(sorted(move.edge))
+        pair = tuple(sorted(move.pair))
+        if len(pair) != 2:
+            raise IllegalMove("cat expansion consumes an EPR pair")
+        inside = set(pair) & set(edge)
+        if len(inside) != 1:
+            raise IllegalMove(
+                f"pair {pair} must touch hyperedge {edge} in exactly one agent")
+        fresh = (set(pair) - inside).pop()
+        return state.replace(remove=[edge, pair],
+                             add=[tuple(sorted(edge + (fresh,)))])
     raise IllegalMove(f"unknown move {move!r}")
 
 
@@ -137,7 +134,7 @@ def make_trace(start: Hypergraph, moves) -> ProtocolTrace:
     state = start
     for move in moves:
         nxt = apply_move(state, move)
-        assert nxt.size_total < state.size_total
+        require(nxt.size_total < state.size_total, "every move shrinks the state")
         state = nxt
     return ProtocolTrace(start=start, moves=tuple(moves), end=state)
 
@@ -167,7 +164,7 @@ def tree_to_cat(t: Hypergraph) -> ProtocolTrace:
     the trace is empty.
     """
     if not is_spanning_epr_tree(t):
-        raise NotSpanningTree("input is not a spanning EPR tree")
+        raise InputError("input is not a spanning EPR tree")
     steps = [(child, step[1]) for child, step in reach(t, t.agents[0]).items()
              if step is not None]
     current = steps[0][1]
@@ -182,9 +179,9 @@ def cat_to_epr(n: int, a: int, b: int) -> ProtocolTrace:
     """Distill the EPR pair {a, b} from the n-CAT: every other agent
     measures out in turn (n-2 moves)."""
     if n < 2:
-        raise BadAgents("need at least two agents")
+        raise InputError("need at least two agents")
     if a == b or not (1 <= a <= n) or not (1 <= b <= n):
-        raise BadAgents(f"agents ({a}, {b}) invalid for n={n}")
+        raise InputError(f"agents ({a}, {b}) invalid for n={n}")
     start = cat_state(n)
     current = start.edges[0]
     moves = []
@@ -200,7 +197,7 @@ def cat_copies_to_tree(t: Hypergraph) -> ProtocolTrace:
     """Build a spanning tree from n-1 copies of the n-CAT, one copy per
     edge via the measure-out distillation."""
     if not is_spanning_epr_tree(t):
-        raise NotSpanningTree("target is not a spanning EPR tree")
+        raise InputError("target is not a spanning EPR tree")
     n = t.n
     start = copies(cat_state(n), n - 1)
     moves = []
@@ -223,9 +220,9 @@ def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:
     """
     for t in (t1, t2):
         if not is_spanning_epr_tree(t):
-            raise NotSpanningTree("both inputs must be spanning EPR trees")
+            raise InputError("both inputs must be spanning EPR trees")
     if t1.agents != t2.agents:
-        raise MismatchedAgents("trees must span the same agents")
+        raise InputError("trees must span the same agents")
     missing = sorted(set(t2.edges) - set(t1.edges))
     start = copies(t1, len(missing) + 1)
     moves: list[LoccMove] = []
@@ -243,7 +240,7 @@ def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:
         for e in sorted(set(t1.edges) - set(path_edges)):
             moves.append(Discard(e))
     trace = make_trace(start, moves)
-    assert trace.end == t2
+    require(trace.end == t2, "the copies protocol ends at the target tree")
     return trace
 
 
@@ -332,7 +329,7 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
     States are deduplicated by canonical form; successors are generated in
     canonical move order, so the returned trace is the lexicographically
     least among the shortest ones.  Returns None when the (finite) space
-    is exhausted without success; raises BudgetExceeded when the search
+    is exhausted without success; raises BoundExceeded when the search
     was cut short by the state budget instead.
 
     The search is evidence-first.  After the `source == target` test it
@@ -347,7 +344,7 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
     would.
     """
     if source.agents != target.agents:
-        raise MismatchedAgents("source and target must share one agent set")
+        raise InputError("source and target must share one agent set")
     if source == target:
         return make_trace(source, ())
     cut_below_target = _cut_pruner(target)
@@ -380,5 +377,5 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
             if cut_below_target(nxt) is None:
                 queue.append(nxt)
     if truncated:
-        raise BudgetExceeded(f"state budget {budget} hit before exhausting the space")
+        raise BoundExceeded(f"state budget {budget} hit before exhausting the space")
     return None

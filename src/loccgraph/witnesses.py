@@ -16,17 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    ConditionNotMet,
-    EqualHypertrees,
-    EqualTrees,
-    InputConnected,
-    MismatchedAgents,
-    NotRUniformHypertrees,
-    NotSpanningTree,
-    RTooSmall,
-    TooFewEdges,
-)
+from .errors import InputError, require
 from .hypergraph import (
     Edge,
     Hypergraph,
@@ -80,7 +70,7 @@ def witness_disconnected_vs_cat(g: Hypergraph) -> BlockingWitness:
     """
     comps = components(g)
     if len(comps) < 2:
-        raise InputConnected("graph is connected; no component split exists")
+        raise InputError("graph is connected; no component split exists")
     coloring = Bicoloring(g.agents, comps[0])
     return make_witness(g, cat_state(g.n), coloring, direction=("graph", "cat"))
 
@@ -95,9 +85,9 @@ def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, Blockin
     CAT cut is 1.
     """
     if len(g.edges) < 2:
-        raise TooFewEdges("need at least two EPR pairs")
+        raise InputError("need at least two EPR pairs")
     if len(components(g)) < 2:
-        raise InputConnected("graph is connected")
+        raise InputError("graph is connected")
     distinct = sorted(set(g.edges))
     if len(distinct) == 1:
         a_side = frozenset({distinct[0][1]})
@@ -126,10 +116,10 @@ def witness_ghz_not_two_epr(target: Hypergraph | None = None) -> BlockingWitness
     if target is None:
         target = Hypergraph((1, 2, 3), ((1, 3), (2, 3)))
     if target.n != 3:
-        raise MismatchedAgents("the two-EPR configuration lives on three agents")
+        raise InputError("the two-EPR configuration lives on three agents")
     distinct = sorted(set(target.edges))
     if len(target.edges) != 2 or len(distinct) != 2 or any(len(e) != 2 for e in distinct):
-        raise ValueError("target must consist of two distinct EPR pairs")
+        raise InputError("target must consist of two distinct EPR pairs")
     common = set(distinct[0]) & set(distinct[1])
     coloring = Bicoloring(target.agents, frozenset(common))
     return make_witness(cat_state(3), target, coloring, direction=("ghz", "two-epr"))
@@ -161,16 +151,16 @@ def check_order_chain(n: int) -> OrderChain:
     """Verify 1 EPR pair < n-CAT < spanning tree for the canonical instances
     (pair {1,2}, chain tree), with evidence at every link."""
     if n < 3:
-        raise ValueError("the chain is strict only from three agents on")
+        raise InputError("the chain is strict only from three agents on")
     pair = epr_pair(n, 1, 2)
     cat = cat_state(n)
     tree = path_tree(n)
 
     def link(lower, upper, downgrade):
         witness = find_blocking_witness(lower, upper)
-        if witness is None:
-            raise AssertionError("expected obstruction is missing")
-        assert downgrade.start == upper and downgrade.end == lower
+        require(witness is not None, "expected obstruction is missing")
+        require(downgrade.start == upper and downgrade.end == lower,
+                "the downgrade trace runs from upper to lower")
         return StrictOrderLink(lower, upper, downgrade, witness)
 
     cat_to_pair = cat_to_epr(n, 1, 2)
@@ -190,15 +180,16 @@ def witness_cat_copies_vs_tree(n: int, t: Hypergraph) -> BlockingWitness:
     copy only once: cuts (n-2, n-1).
     """
     if not is_spanning_epr_tree(t):
-        raise NotSpanningTree("target is not a spanning EPR tree")
+        raise InputError("target is not a spanning EPR tree")
     if t.n != n:
-        raise MismatchedAgents(f"tree spans {t.n} agents, not {n}")
+        raise InputError(f"tree spans {t.n} agents, not {n}")
     if n < 3:
-        raise ValueError("need at least three agents")
+        raise InputError("need at least three agents")
     source = copies(cat_state(n), n - 2)
     coloring = Bicoloring(t.agents, _proper_two_coloring(t))
     witness = make_witness(source, t, coloring, direction=("cat-copies", "tree"))
-    assert (witness.source_cut, witness.target_cut) == (n - 2, n - 1)
+    require((witness.source_cut, witness.target_cut) == (n - 2, n - 1),
+            "the proper 2-coloring cuts (n-2, n-1)")
     return witness
 
 
@@ -228,17 +219,17 @@ def witness_distinct_spanning_trees(t1: Hypergraph, t2: Hypergraph,
     """
     for t in (t1, t2):
         if not is_spanning_epr_tree(t):
-            raise NotSpanningTree("both inputs must be spanning EPR trees")
+            raise InputError("both inputs must be spanning EPR trees")
     if t1.agents != t2.agents:
-        raise MismatchedAgents("trees must span the same agents")
+        raise InputError("trees must span the same agents")
     extra = sorted(set(t2.edges) - set(t1.edges))
     if not extra:
-        raise EqualTrees("the trees coincide")
+        raise InputError("the trees coincide")
     pivot = extra[0]
 
     side = {v: frozenset(reach(t2, v, skip=pivot)) - {v} for v in pivot}
-    assert not (side[pivot[0]] & side[pivot[1]])
-    assert side[pivot[0]] | side[pivot[1]]
+    require(not side[pivot[0]] & side[pivot[1]], "the pivot's two sides are disjoint")
+    require(bool(side[pivot[0]] | side[pivot[1]]), "the pivot's sides are not both empty")
 
     def build(i: int, j: int):
         edges, junctions = hyperpath(t1, i, j)
@@ -249,7 +240,7 @@ def witness_distinct_spanning_trees(t1: Hypergraph, t2: Hypergraph,
     i, j = pivot
     path, colored_a = build(i, j)
     k1 = path[1]
-    assert k1 in side[i] | side[j]
+    require(k1 in side[i] | side[j], "the first path vertex lies off the pivot")
     if k1 not in side[i]:
         # anchor at the other endpoint so the second t2 crossing is forced
         i, j = j, i
@@ -257,7 +248,7 @@ def witness_distinct_spanning_trees(t1: Hypergraph, t2: Hypergraph,
 
     coloring = Bicoloring(t1.agents, colored_a)
     witness = make_witness(t1, t2, coloring, direction=("t1", "t2"))
-    assert witness.source_cut == 1
+    require(witness.source_cut == 1, "the tree split cuts t1 once")
     return TreeSplit(pivot_edge=(i, j), source_path=path, colored_a=colored_a), witness
 
 
@@ -275,18 +266,18 @@ def witness_pendant_condition(h1: Hypergraph, h2: Hypergraph,
     (1, degree >= 2).  Hypertree structure is not required.
     """
     if h1.agents != h2.agents:
-        raise MismatchedAgents("states must share one agent set")
+        raise InputError("states must share one agent set")
 
     def one_direction(src, dst, direction):
         candidates = sorted(u for u in pendant_vertices(src) - pendant_vertices(dst)
                             if dst.degree(u) >= 2)
         if not candidates:
-            raise ConditionNotMet(
+            raise InputError(
                 "no vertex is pendant on one side and multiply covered on the other")
         u = candidates[0]
         coloring = Bicoloring(src.agents, frozenset({u}))
         witness = make_witness(src, dst, coloring, direction=direction)
-        assert witness.source_cut == 1
+        require(witness.source_cut == 1, "a pendant vertex is cut once")
         return witness
 
     return (one_direction(h1, h2, ("h1", "h2")),
@@ -307,15 +298,15 @@ class SeparatingPair:
 
 def _require_r_uniform_hypertrees(h1: Hypergraph, h2: Hypergraph) -> int:
     if h1.agents != h2.agents:
-        raise MismatchedAgents("hypertrees must share one agent set")
+        raise InputError("hypertrees must share one agent set")
     for h in (h1, h2):
         if not is_entangled_hypertree(h):
-            raise NotRUniformHypertrees("input is not an entangled hypertree")
+            raise InputError("input is not an entangled hypertree")
     r1, r2 = uniformity(h1), uniformity(h2)
     if r1 is None or r2 is None or r1 != r2:
-        raise NotRUniformHypertrees("inputs are not r-uniform for one common r")
+        raise InputError("inputs are not r-uniform for one common r")
     if set(h1.edges) == set(h2.edges):
-        raise EqualHypertrees("the hypertrees coincide")
+        raise InputError("the hypertrees coincide")
     return r1
 
 
@@ -331,14 +322,14 @@ def find_separating_pair(h1: Hypergraph, h2: Hypergraph) -> SeparatingPair:
     """
     r = _require_r_uniform_hypertrees(h1, h2)
     if r < 3:
-        raise RTooSmall("r = 2 is the spanning-tree case; use the tree split")
+        raise InputError("r = 2 is the spanning-tree case; use the tree split")
     common = set(h1.edges) & set(h2.edges)
     e2 = sorted(set(h2.edges) - common)[0]
     w = e2[0]
     e1 = sorted(e for e in set(h1.edges) if w in e)[0]
     overlap = sorted(set(e1) & set(e2))
     outside = sorted(set(e2) - set(e1))
-    assert overlap and outside
+    require(bool(overlap) and bool(outside), "the least new h2 edge meets and leaves e1")
 
     pair: tuple[int, int] | None = None
     if len(overlap) > 1:
@@ -365,14 +356,15 @@ def find_separating_pair(h1: Hypergraph, h2: Hypergraph) -> SeparatingPair:
             for v in outside:
                 host = sorted(e for e in set(h1.edges) if u1 in e and v in e)[0]
                 groups.setdefault(host, []).append(v)
-            assert len(groups) >= 2
+            require(len(groups) >= 2, "the outside vertices sit in two u1 edges")
             va = outside[0]
             host_a = next(host for host, vs in groups.items() if va in vs)
             vb = min(v for host, vs in groups.items() if host != host_a for v in vs)
             pair = (va, vb)
 
     u, v = sorted(pair)
-    assert _co_edge(h2, u, v) and not _co_edge(h1, u, v)
+    require(_co_edge(h2, u, v) and not _co_edge(h1, u, v),
+            "the pair shares an h2 edge and no h1 edge")
     return SeparatingPair(u, v)
 
 
@@ -399,7 +391,7 @@ def _hypertree_direction(h1: Hypergraph, h2: Hypergraph,
     u, v = pair.u, pair.v
     shared = next(e for e in h2.edges if u in e and v in e)
     path_edges, junctions = hyperpath(h1, u, v)
-    assert len(path_edges) >= 2
+    require(len(path_edges) >= 2, "the separated pair is two h1 edges apart")
     r = len(shared)
 
     # how h2 falls apart around the shared edge
@@ -432,10 +424,11 @@ def _hypertree_direction(h1: Hypergraph, h2: Hypergraph,
         w2 = junctions[1] if len(junctions) >= 2 else v
         c1 = set(path_edges[0]) - {u, w1}
         c2 = set(path_edges[1]) - {w1, w2}
-        assert len(c1) == r - 2 and len(c2) == r - 2 and not (c1 & c2)
-        assert len(c1 | c2) - (r - 2) == r - 2 >= 1
+        require(len(c1) == len(c2) == r - 2 >= 1 and not c1 & c2,
+                "the first two path edges hold r-2 private vertices each")
         candidates = sorted(x for x in c1 | c2 if x not in shared)
-        assert candidates, "pigeonhole failed: every candidate sits inside the shared edge"
+        require(bool(candidates),
+                "pigeonhole failed: every candidate sits inside the shared edge")
         t = candidates[0]
         w = next(x for x in shared if x not in (u, v) and t in comp2[x])
         host = path_edges[0] if t in c1 else path_edges[1]
@@ -461,7 +454,7 @@ def _hypertree_direction(h1: Hypergraph, h2: Hypergraph,
 
     coloring = Bicoloring(h1.agents, a_side)
     witness = make_witness(h1, h2, coloring, direction=direction)
-    assert witness.source_cut == 1
+    require(witness.source_cut == 1, "the hypertree coloring cuts h1 once")
     return HypertreeProof(pair=pair, shared_edge=shared, case_label=label,
                           path_edges=tuple(path_edges), witness=witness)
 

@@ -25,7 +25,7 @@ from loccgraph.cli import (
     trace_from_json,
     witness_from_json,
 )
-from loccgraph.errors import ParseError
+from loccgraph.errors import InputError
 
 
 def write_state(tmp_path, name, text):
@@ -271,6 +271,14 @@ def test_verdict_guard_survives_optimize_flag(tmp_path):
      ' "moves": [{"kind": "discard"}],'
      ' "end": {"agents": [1, 2], "edges": []}}', "'edge'"),
     ("[]", "wrong shape"),
+    pytest.param('{"start": {"agents": [1, 2, 3], "edges": [[1, 2, 3]]},'
+                 ' "moves": [{"kind": "discard", "edge": [1, 2, "x"]}],'
+                 ' "end": {"agents": [1, 2, 3], "edges": []}}',
+                 "field 'edge' holds a non-integer agent", id="non-integer-member"),
+    pytest.param('{"start": {"agents": [1, 2, 3], "edges": [[1, 2]]},'
+                 ' "moves": [{"kind": "discard", "edge": [2, 3]}],'
+                 ' "end": {"agents": [1, 2, 3], "edges": []}}',
+                 "hyperedge (2, 3) is not in the state", id="absent-operand"),
 ])
 def test_replay_rejects_malformed_trace(tmp_path, capsys, payload, field):
     trace_file = tmp_path / "trace.json"
@@ -303,12 +311,78 @@ def test_check_past_color_bound_uses_the_search_cuts(tmp_path, capsys):
         assert (bcm_cut(a, witness.coloring), bcm_cut(b, witness.coloring)) == cuts
 
 
-@pytest.mark.parametrize("r", ["1", "2"])
-def test_verify_theorems_rejects_r_below_three(capsys, r):
-    assert main(["verify-theorems", "--n-max", "3", "--r-list", "3", r]) == EXIT_INPUT
+@pytest.mark.parametrize("argv,claim", [
+    pytest.param(["--r-list", "3", "1"], "--r-list values must be at least 3", id="1"),
+    pytest.param(["--r-list", "3", "2"], "--r-list values must be at least 3", id="2"),
+    pytest.param(["--r-list"], "--r-list needs at least one value", id="empty-r-list"),
+    pytest.param(["--sample-count", "0"], "--sample-count must be at least 1",
+                 id="sample-count-0"),
+    pytest.param(["--n-max", "2"], "--n-max must lie in 3..7, got 2", id="n-max-2"),
+    # rejected before the 141M tree pairs at n = 7 are checked
+    pytest.param(["--n-max", "8"], "--n-max must lie in 3..7, got 8", id="n-max-8"),
+])
+def test_verify_theorems_rejects_r_below_three(capsys, argv, claim):
+    assert main(["verify-theorems", "--n-max", "3", *argv]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: " + claim)
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_broken_witness_fails_the_sweeps(monkeypatch, capsys):
+    # a witness generator that emits a coloring cutting nothing is a failed
+    # theorem (exit 1), not bad input (exit 2)
+    import loccgraph.witnesses as witnesses
+    from loccgraph import Bicoloring
+
+    real = witnesses.make_witness
+
+    def empty_coloring(source, target, coloring, direction):
+        return real(source, target, Bicoloring(coloring.agents, frozenset()),
+                    direction=direction)
+
+    monkeypatch.setattr(witnesses, "make_witness", empty_coloring)
+    argv = ["verify-theorems", "--n-max", "3", "--sample-count", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "spanning-tree-incomparability: 3 checked, FAIL" in captured.out
+    assert "disconnected-vs-cat: 6 checked, FAIL" in captured.out
+    assert main([*argv, "--json"]) == 1
+    sweeps = {s["name"]: s for s in json.loads(capsys.readouterr().out)["sweeps"]}
+    assert sweeps["spanning-tree-incomparability"]["failures"][0]["error"] == \
+        "not a witness: target cut 0 <= source cut 0"
+    assert not sweeps["order-chain"]["failures"]
+
+
+def test_invariants_survive_optimize_flag(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import loccgraph
+
+    # a copies protocol that stops one move short must be caught by the
+    # invariant on its end state, with or without assert statements
+    a = write_state(tmp_path, "a.txt", "agents: 3\ncat: 1 2\ncat: 1 3\n")
+    b = write_state(tmp_path, "b.txt", "agents: 3\ncat: 1 3\ncat: 2 3\n")
+    script = (
+        "import sys\n"
+        "import loccgraph.protocols as protocols\n"
+        "import loccgraph.cli as cli\n"
+        "assert False, 'assert statements must be stripped under -O'\n"
+        "real = protocols.make_trace\n"
+        "protocols.make_trace = lambda start, moves: real(start, list(moves)[:-1])\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loccgraph.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", script, "distance", a, b],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("internal inconsistency: "
+                           "the copies protocol ends at the target tree\n")
 
 
 def test_theorem_sweeps_survive_optimize_flag():
@@ -352,5 +426,5 @@ def test_move_codec_round_trips_in_key_order(move, keys):
 
 
 def test_move_codec_rejects_unknown_kind():
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="unknown move kind 'teleport'"):
         move_from_json({"kind": "teleport", "edge": [1, 2]})

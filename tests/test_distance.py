@@ -15,7 +15,7 @@ from loccgraph import (
     star_tree,
 )
 from loccgraph.enumeration import random_spanning_tree
-from loccgraph.errors import MismatchedAgents, NotSpanningTree
+from loccgraph.errors import InputError
 
 
 def test_distance_examples():
@@ -25,9 +25,9 @@ def test_distance_examples():
 
 
 def test_distance_rejects_non_trees():
-    with pytest.raises(NotSpanningTree):
+    with pytest.raises(InputError, match="both inputs must be spanning EPR trees"):
         quantum_distance(cat_state(3), path_tree(3))
-    with pytest.raises(MismatchedAgents):
+    with pytest.raises(InputError, match="trees must span the same agents"):
         quantum_distance(path_tree(3), path_tree(4))
 
 

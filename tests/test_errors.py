@@ -1,0 +1,49 @@
+"""The error taxonomy holds across the whole package.
+
+Every failure the package raises is an InputError, a BoundExceeded, an
+IllegalMove, or an AssertionError from `require` (an internal
+inconsistency, which must survive `python -O`, so no `assert` statement
+may carry it).
+"""
+
+import ast
+import inspect
+import pathlib
+
+import pytest
+
+import loccgraph
+from loccgraph import errors
+
+SOURCES = sorted(pathlib.Path(loccgraph.__file__).parent.glob("*.py"))
+ALLOWED = {"InputError", "BoundExceeded", "IllegalMove", "AssertionError"}
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: use errors.require instead of assert"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_raise_names_a_taxonomy_class(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stray = [(node.lineno, _raised_name(node)) for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and _raised_name(node) not in ALLOWED]
+    assert stray == []
+
+
+def test_errors_module_defines_the_taxonomy():
+    classes = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    assert classes == {"LoccError", "InputError", "BoundExceeded", "IllegalMove"}
+    assert issubclass(errors.InputError, ValueError)
+    for name in classes - {"LoccError"}:
+        assert issubclass(getattr(errors, name), errors.LoccError)
+

@@ -1,6 +1,7 @@
 """Data model and structural predicates."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,7 @@ from loccgraph import (
     uniformity,
 )
 from loccgraph.enumeration import random_r_uniform_hypertree
-from loccgraph.errors import EmptyStructure, ParseError
+from loccgraph.errors import IllegalMove, InputError
 
 
 def H(n, *edges):
@@ -39,13 +40,13 @@ def test_canonical_form_is_order_insensitive():
 
 
 def test_rejects_bad_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="fewer than two members"):
         H(3, (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="repeats a member"):
         H(3, (1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="uses agents outside"):
         H(3, (1, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="agent set must be nonempty"):
         Hypergraph((), ())
 
 
@@ -53,7 +54,7 @@ def test_multiplicity_and_replace():
     h = H(4, (1, 2), (1, 2), (3, 4))
     assert h.multiplicity((2, 1)) == 2
     assert h.replace(remove=[(1, 2)]).multiplicity((1, 2)) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(IllegalMove, match=re.escape("hyperedge (1, 3) is not in the state")):
         h.replace(remove=[(1, 3)])
 
 
@@ -91,7 +92,7 @@ def test_uniformity():
     assert uniformity(H(5, (1, 2, 3), (3, 4, 5))) == 3
     assert uniformity(H(4, (1, 2), (2, 3, 4))) is None
     assert uniformity(path_tree(5)) == 2
-    with pytest.raises(EmptyStructure):
+    with pytest.raises(InputError, match="edgeless"):
         uniformity(H(2))
 
 
@@ -224,14 +225,14 @@ def test_parse_duplicates_encode_multiplicity():
 
 
 def test_parse_errors_carry_line_numbers():
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(InputError, match="^line 2: a hyperedge needs at least two members") as exc:
         parse_hypergraph("agents: 3\ncat: 1\n")
     assert exc.value.line == 2
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="^missing 'agents: n' header"):
         parse_hypergraph("cat: 1 2\n")
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(InputError, match="^line 2: unrecognized line") as exc:
         parse_hypergraph("agents: 3\nwat: 1 2\n")
     assert exc.value.line == 2
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(InputError, match=r"^line 2: member outside 1\.\.2") as exc:
         parse_hypergraph("agents: 2\ncat: 1 3\n")
     assert exc.value.line == 2

@@ -18,7 +18,7 @@ from loccgraph import (
     star_tree,
 )
 from loccgraph.enumeration import random_spanning_tree
-from loccgraph.errors import MismatchedAgents, SearchBoundExceeded
+from loccgraph.errors import BoundExceeded, InputError
 from loccgraph.merging import iter_bicolorings
 
 
@@ -83,15 +83,15 @@ def test_two_pairs_to_ghz_has_no_obstruction():
 
 
 def test_agent_mismatch_rejected():
-    with pytest.raises(MismatchedAgents):
+    with pytest.raises(InputError, match="must share one agent set"):
         find_blocking_witness(cat_state(3), cat_state(4))
 
 
 def test_search_bound_enforced():
     wide = cat_state(24)
-    with pytest.raises(SearchBoundExceeded):
+    with pytest.raises(BoundExceeded, match="exceeds the coloring bound 22"):
         find_blocking_witness(wide, wide)
-    with pytest.raises(SearchBoundExceeded):
+    with pytest.raises(BoundExceeded, match="6 agents exceeds the coloring bound 5"):
         find_blocking_witness(cat_state(6), cat_state(6), color_bound=5)
     assert find_blocking_witness(cat_state(6), cat_state(6), color_bound=6) is None
 

@@ -29,7 +29,7 @@ from loccgraph import (
     trees_copies_to_tree,
 )
 from loccgraph.enumeration import all_spanning_trees, random_spanning_tree
-from loccgraph.errors import BadAgents, BudgetExceeded, IllegalMove, NotSpanningTree
+from loccgraph.errors import BoundExceeded, IllegalMove, InputError
 from loccgraph.distance import quantum_distance
 
 
@@ -108,7 +108,7 @@ def test_tree_to_cat_uses_exactly_n_minus_two_moves():
 
 
 def test_tree_to_cat_rejects_non_trees():
-    with pytest.raises(NotSpanningTree):
+    with pytest.raises(InputError, match="input is not a spanning EPR tree"):
         tree_to_cat(H(3, (1, 2)))
 
 
@@ -120,7 +120,7 @@ def test_cat_to_epr():
     assert len(trace.moves) == 3
     assert trace.end == H(5, (2, 4))
     assert cat_to_epr(2, 1, 2).moves == ()
-    with pytest.raises(BadAgents):
+    with pytest.raises(InputError, match=r"agents \(1, 1\) invalid for n=3"):
         cat_to_epr(3, 1, 1)
 
 
@@ -197,7 +197,7 @@ def test_identical_states_give_empty_trace():
 def test_budget_exhaustion_is_distinguished():
     source = copies(path_tree(5), 2)
     target = H(5, (1, 5))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BoundExceeded, match="state budget 5 hit"):
         reachability_search(source, target, budget=5)
     found = reachability_search(source, target, budget=10 ** 6)
     assert found is not None

@@ -25,7 +25,7 @@ from loccgraph import (
     reachability_search,
 )
 from loccgraph.enumeration import all_spanning_trees
-from loccgraph.errors import BudgetExceeded
+from loccgraph.errors import BoundExceeded
 
 
 def H(n, *edges):
@@ -62,15 +62,15 @@ def oracle_search(source, target, budget):
                 return make_trace(source, moves)
             queue.append(nxt)
     if truncated:
-        raise BudgetExceeded(f"state budget {budget} hit before exhausting the space")
+        raise BoundExceeded(f"state budget {budget} hit before exhausting the space")
     return None
 
 
 def _outcome(search, *args, **kwargs):
     try:
         return search(*args, **kwargs)
-    except BudgetExceeded:
-        return BudgetExceeded
+    except BoundExceeded:
+        return BoundExceeded
 
 
 def assert_agrees(source, target, budget):
@@ -79,7 +79,7 @@ def assert_agrees(source, target, budget):
     returns must be the oracle's at a budget large enough to finish."""
     expected = _outcome(oracle_search, source, target, budget)
     got = _outcome(reachability_search, source, target, budget=budget)
-    if expected is BudgetExceeded and got is not BudgetExceeded:
+    if expected is BoundExceeded and got is not BoundExceeded:
         expected = _outcome(oracle_search, source, target, 10 ** 6)
     assert got == expected
 
@@ -117,7 +117,7 @@ def test_small_budgets_are_never_hit_earlier():
     (H(4, (1, 2, 3, 4), (1, 2, 3, 4)), H(4, (1, 3, 4), (1, 3, 4), (1, 3, 4)), 3),
 ])
 def test_pruning_finishes_where_the_oracle_ran_out(source, target, budget):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BoundExceeded, match="state budget .* hit"):
         oracle_search(source, target, budget)
     assert reachability_search(source, target, budget=budget) == \
         oracle_search(source, target, 10 ** 6)

@@ -29,14 +29,7 @@ from loccgraph import (
     witness_r_uniform_hypertrees,
 )
 from loccgraph.enumeration import all_spanning_trees
-from loccgraph.errors import (
-    ConditionNotMet,
-    EqualHypertrees,
-    EqualTrees,
-    InputConnected,
-    RTooSmall,
-    TooFewEdges,
-)
+from loccgraph.errors import InputError
 
 
 def H(n, *edges):
@@ -71,7 +64,7 @@ def test_isolated_vertex_blocks_cat():
 
 
 def test_connected_graph_is_rejected():
-    with pytest.raises(InputConnected):
+    with pytest.raises(InputError, match="graph is connected; no component split exists"):
         witness_disconnected_vs_cat(path_tree(4))
 
 
@@ -110,9 +103,9 @@ def test_cat_vs_disconnected_shared_vertex():
 
 
 def test_cat_vs_disconnected_preconditions():
-    with pytest.raises(TooFewEdges):
+    with pytest.raises(InputError, match="need at least two EPR pairs"):
         witness_cat_vs_disconnected(H(3, (1, 2)))
-    with pytest.raises(InputConnected):
+    with pytest.raises(InputError, match="^graph is connected$"):
         witness_cat_vs_disconnected(path_tree(3))
 
 
@@ -206,7 +199,7 @@ def test_path_vs_star_picks_lowest_pivot():
 
 
 def test_equal_trees_rejected():
-    with pytest.raises(EqualTrees):
+    with pytest.raises(InputError, match="the trees coincide"):
         witness_distinct_spanning_trees(path_tree(4), path_tree(4))
 
 
@@ -246,7 +239,7 @@ def test_pendant_cut_counts_incidence():
 
 def test_pendant_condition_not_met():
     h1 = H(5, (1, 2, 3), (3, 4, 5))
-    with pytest.raises(ConditionNotMet):
+    with pytest.raises(InputError, match="no vertex is pendant on one side"):
         witness_pendant_condition(h1, h1)
 
 
@@ -289,9 +282,9 @@ def test_separating_pair_shared_edges():
 
 def test_separating_pair_rejects_equal_and_r2():
     h = H(5, (1, 2, 3), (3, 4, 5))
-    with pytest.raises(EqualHypertrees):
+    with pytest.raises(InputError, match="the hypertrees coincide"):
         find_separating_pair(h, h)
-    with pytest.raises(RTooSmall):
+    with pytest.raises(InputError, match="r = 2 is the spanning-tree case"):
         find_separating_pair(path_tree(3), star_tree(3))
 
 
