@@ -21,6 +21,7 @@ from .errors import BoundExceeded, InputError, LoccError, require
 from .hypergraph import (
     Hypergraph,
     format_hypergraph,
+    is_spanning_epr_tree,
     parse_hypergraph,
 )
 from .merging import (
@@ -195,7 +196,8 @@ def _judge_direction(source: Hypergraph, target: Hypergraph, *,
                      color_bound: int, search_budget: int,
                      direction: tuple[str, str]) -> DirectionVerdict:
     """Witness scan first (past the color bound, the cuts that prune the
-    search); only a direction without a witness is searched."""
+    search, then the tree split of two distinct spanning trees); only a
+    direction without a witness is searched."""
     witness = None
     note = ""
     try:
@@ -208,6 +210,9 @@ def _judge_direction(source: Hypergraph, target: Hypergraph, *,
         if side is not None:
             witness = make_witness(source, target, Bicoloring(source.agents, side),
                                    direction=direction)
+        elif source != target and is_spanning_epr_tree(source) and is_spanning_epr_tree(target):
+            split = witness_distinct_spanning_trees(source, target)[1]
+            witness = make_witness(source, target, split.coloring, direction=direction)
     trace = None
     if witness is None:
         try:
@@ -264,20 +269,14 @@ def cmd_check(args) -> int:
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        print(f"forward  (source -> target): {forward.kind}")
-        if forward.witness:
-            w = forward.witness
-            print(f"  witness coloring A={sorted(w.coloring.a_side)} "
-                  f"cuts ({w.source_cut}, {w.target_cut})")
-        if forward.trace:
-            print(f"  trace with {len(forward.trace.moves)} move(s)")
-        print(f"backward (target -> source): {backward.kind}")
-        if backward.witness:
-            w = backward.witness
-            print(f"  witness coloring A={sorted(w.coloring.a_side)} "
-                  f"cuts ({w.source_cut}, {w.target_cut})")
-        if backward.trace:
-            print(f"  trace with {len(backward.trace.moves)} move(s)")
+        for label, d in (("forward  (source -> target)", forward),
+                         ("backward (target -> source)", backward)):
+            print(f"{label}: {d.kind}")
+            if d.witness:
+                print(f"  witness coloring A={sorted(d.witness.coloring.a_side)} "
+                      f"cuts ({d.witness.source_cut}, {d.witness.target_cut})")
+            if d.trace:
+                print(f"  trace with {len(d.trace.moves)} move(s)")
         print(f"classification: {verdict.classification}")
     return EXIT_UNKNOWN if verdict.classification == "unknown" else EXIT_OK
 
@@ -324,7 +323,7 @@ def cmd_protocol(args) -> int:
 def cmd_replay(args) -> int:
     try:
         data = json.loads(_read_text(args.trace))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(str(exc)) from None
     trace = trace_from_json(data)
     replay_trace(trace)
@@ -639,7 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
         p.add_argument("--color-bound", type=int, default=DEFAULT_COLOR_BOUND,
-                       help="max agents for the exhaustive coloring scan")
+                       help="max agents for the exhaustive coloring scan (time and memory "
+                            "double per agent; n = 22 takes about 0.1 s and 18 MiB)")
         p.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET,
                        help="max canonical states for reachability search")
 

@@ -11,6 +11,7 @@ Everything here is an immutable value; all operations are pure functions.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 
@@ -43,18 +44,20 @@ class Hypergraph:
         if len(set(agents)) != len(agents):
             raise InputError("agent labels must be unique")
         known = set(agents)
-        canon = []
-        for edge in self.edges:
-            e = tuple(sorted(edge))
-            if len(e) < 2:
-                raise InputError(f"hyperedge {e} has fewer than two members")
-            if len(set(e)) != len(e):
-                raise InputError(f"hyperedge {tuple(edge)} repeats a member")
-            if not known.issuperset(e):
-                raise InputError(f"hyperedge {e} uses agents outside {agents}")
-            canon.append(e)
         object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        object.__setattr__(self, "edges",
+                           tuple(sorted(self._canonical(e, known) for e in self.edges)))
+
+    def _canonical(self, edge, known) -> Edge:
+        """The edge sorted, once it is checked against the agent set."""
+        e = tuple(sorted(edge))
+        if len(e) < 2:
+            raise InputError(f"hyperedge {e} has fewer than two members")
+        if len(set(e)) != len(e):
+            raise InputError(f"hyperedge {tuple(edge)} repeats a member")
+        if not known.issuperset(e):
+            raise InputError(f"hyperedge {e} uses agents outside {self.agents}")
+        return e
 
     @property
     def n(self) -> int:
@@ -75,7 +78,8 @@ class Hypergraph:
 
     def replace(self, remove=(), add=()) -> "Hypergraph":
         """New hypergraph with one instance of each `remove` edge swapped
-        for the `add` edges.  Raises IllegalMove if an instance is absent."""
+        for the `add` edges.  Raises IllegalMove if an instance is absent.
+        Only the `add` edges are validated; the result skips `__post_init__`."""
         pool = list(self.edges)
         for edge in remove:
             e = tuple(sorted(edge))
@@ -83,8 +87,13 @@ class Hypergraph:
                 pool.remove(e)
             except ValueError:
                 raise IllegalMove(f"hyperedge {e} is not in the state") from None
-        pool.extend(tuple(sorted(edge)) for edge in add)
-        return Hypergraph(self.agents, tuple(pool))
+        known = set(self.agents)
+        for edge in add:
+            insort(pool, self._canonical(edge, known))
+        h = object.__new__(Hypergraph)
+        object.__setattr__(h, "agents", self.agents)
+        object.__setattr__(h, "edges", tuple(pool))
+        return h
 
 
 # ---------------------------------------------------------------------------

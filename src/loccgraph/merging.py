@@ -8,12 +8,19 @@ EPR pairs the merged parties share, i.e. the marginal entropy across the
 bipartition.  Since LOCC cannot increase that entropy, a coloring under
 which the target's cut exceeds the source's cut is a machine-checkable
 proof that the transformation is impossible: a blocking witness.
+
+The scans over all 2^(n-1) colorings are bit-parallel (broadword
+computing, Knuth, TAOCP 4A, section 7.1.3): bit m of an integer stands for
+coloring m of `iter_bicolorings`, so one bitwise operation treats every
+coloring at once.  Every witness they emit has both cuts recomputed by the
+per-coloring `bcm_cut`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterator
 
 from .errors import BoundExceeded, InputError
@@ -45,9 +52,6 @@ class Bicoloring:
     def nontrivial(self) -> bool:
         """Both colors occur."""
         return 0 < len(self.a_side) < len(self.agents)
-
-    def color(self, agent: int) -> str:
-        return "A" if agent in self.a_side else "B"
 
     def flipped(self) -> "Bicoloring":
         return Bicoloring(self.agents, self.b_side)
@@ -94,29 +98,30 @@ class BlockingWitness:
                 f"<= source cut {self.source_cut}")
 
 
+def _bichromatic(edge: Edge, a_side: frozenset[int]) -> bool:
+    return not a_side.isdisjoint(edge) and not a_side.issuperset(edge)
+
+
 def bcm_cut(h: Hypergraph, coloring: Bicoloring) -> int:
     """Number of bichromatic hyperedges, counted with multiplicity."""
-    a = coloring.a_side
-    count = 0
-    for e in h.edges:
-        inside = sum(1 for m in e if m in a)
-        if 0 < inside < len(e):
-            count += 1
-    return count
+    return sum(_bichromatic(e, coloring.a_side) for e in h.edges)
 
 
 def bcm_reduce(h: Hypergraph, coloring: Bicoloring) -> BcmGraph:
-    a = coloring.a_side
-    records = []
-    cross = 0
-    for e in h.edges:
-        inside = sum(1 for m in e if m in a)
-        if 0 < inside < len(e):
-            records.append((e, "edge"))
-            cross += 1
-        else:
-            records.append((e, "vertex"))
-    return BcmGraph(cross_edge_count=cross, collapsed=tuple(records))
+    records = tuple((e, "edge" if _bichromatic(e, coloring.a_side) else "vertex")
+                    for e in h.edges)
+    return BcmGraph(cross_edge_count=bcm_cut(h, coloring), collapsed=records)
+
+
+def _check_bound(agents, bound: int) -> None:
+    if len(agents) > bound:
+        raise BoundExceeded(f"{len(agents)} agents exceeds the coloring bound {bound}")
+
+
+def _coloring(agents: tuple[int, ...], mask: int) -> Bicoloring:
+    """Coloring number `mask`: bit i puts agents[i + 1] on the A side."""
+    return Bicoloring(agents, frozenset(a for i, a in enumerate(agents[1:])
+                                        if mask >> i & 1))
 
 
 def iter_bicolorings(agents, bound: int = DEFAULT_COLOR_BOUND) -> Iterator[Bicoloring]:
@@ -127,13 +132,42 @@ def iter_bicolorings(agents, bound: int = DEFAULT_COLOR_BOUND) -> Iterator[Bicol
     a coloring equals the cut of its flip.
     """
     agents = tuple(sorted(agents))
-    n = len(agents)
-    if n > bound:
-        raise BoundExceeded(f"{n} agents exceeds the coloring bound {bound}")
-    rest = agents[1:]
-    for mask in range(1 << (n - 1)):
-        a_side = frozenset(a for i, a in enumerate(rest) if mask >> i & 1)
-        yield Bicoloring(agents, a_side)
+    _check_bound(agents, bound)
+    for mask in range(1 << (len(agents) - 1)):
+        yield _coloring(agents, mask)
+
+
+def _cut_levels(agents: tuple[int, ...], *hypergraphs: Hypergraph) -> list[list[int]]:
+    """Level sets of each hypergraph's cut: entry v of its list is the
+    bitset of the colorings (bit m for `_coloring(agents, m)`) that cut it
+    exactly v times.  A hyperedge is bichromatic under the OR of its
+    members' columns (their A-side colorings) minus their AND."""
+    size = 1 << (len(agents) - 1)
+    column = {agents[0]: 0}
+    for i, a in enumerate(agents[1:]):
+        # bit i of m repeats with period 2 << i: (1 << i) zeros, as many ones
+        half = 1 << i
+        bits, width = ((1 << half) - 1) << half, half << 1
+        while width < size:
+            bits |= bits << width
+            width <<= 1
+        column[a] = bits
+    result = []
+    for h in hypergraphs:
+        levels = [(1 << size) - 1]
+        for e in h.edges:
+            some, every = 0, -1
+            for a in e:
+                some |= column[a]
+                every &= column[a]
+            cross = some & ~every
+            keep = ~cross
+            levels.append(levels[-1] & cross)
+            for v in range(len(levels) - 2, 0, -1):
+                levels[v] = (levels[v] & keep) | (levels[v - 1] & cross)
+            levels[0] &= keep
+        result.append(levels)
+    return result
 
 
 def make_witness(source: Hypergraph, target: Hypergraph,
@@ -163,12 +197,17 @@ def find_blocking_witness(source: Hypergraph, target: Hypergraph, *,
     """
     if source.agents != target.agents:
         raise InputError("source and target must share one agent set")
-    for coloring in iter_bicolorings(source.agents, bound=color_bound):
-        s = bcm_cut(source, coloring)
-        t = bcm_cut(target, coloring)
-        if t > s:
-            return BlockingWitness(coloring, s, t, direction)
-    return None
+    _check_bound(source.agents, color_bound)
+    source_levels, target_levels = _cut_levels(source.agents, source, target)
+    below = found = 0
+    for source_level, target_level in zip_longest(source_levels, target_levels[1:],
+                                                  fillvalue=0):
+        below |= source_level  # colorings whose source cut is below the target level
+        found |= target_level & below
+    if not found:
+        return None
+    first = (found & -found).bit_length() - 1
+    return make_witness(source, target, _coloring(source.agents, first), direction)
 
 
 def min_copies_lower_bound(source: Hypergraph, target: Hypergraph, *,
@@ -183,15 +222,14 @@ def min_copies_lower_bound(source: Hypergraph, target: Hypergraph, *,
     """
     if source.agents != target.agents:
         raise InputError("source and target must share one agent set")
+    _check_bound(source.agents, color_bound)
+    source_levels, target_levels = _cut_levels(source.agents, source, target)
+    if source_levels[0] & ~target_levels[0]:
+        return math.inf
     best: int = 0
-    for coloring in iter_bicolorings(source.agents, bound=color_bound):
-        if not coloring.nontrivial:
-            continue
-        t = bcm_cut(target, coloring)
-        if t == 0:
-            continue
-        s = bcm_cut(source, coloring)
-        if s == 0:
-            return math.inf
-        best = max(best, -(-t // s))
+    for v in range(1, len(source_levels)):
+        for w in range(len(target_levels) - 1, 0, -1):
+            if source_levels[v] & target_levels[w]:
+                best = max(best, -(-w // v))
+                break
     return best

@@ -198,17 +198,8 @@ def cat_copies_to_tree(t: Hypergraph) -> ProtocolTrace:
     edge via the measure-out distillation."""
     if not is_spanning_epr_tree(t):
         raise InputError("target is not a spanning EPR tree")
-    n = t.n
-    start = copies(cat_state(n), n - 1)
-    moves = []
-    for a, b in t.edges:
-        current = tuple(range(1, n + 1))
-        for v in range(1, n + 1):
-            if v in (a, b):
-                continue
-            moves.append(MeasureOut(edge=current, agent=v))
-            current = tuple(m for m in current if m != v)
-    return make_trace(start, moves)
+    moves = [m for a, b in t.edges for m in cat_to_epr(t.n, a, b).moves]
+    return make_trace(copies(cat_state(t.n), t.n - 1), moves)
 
 
 def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:

@@ -279,6 +279,8 @@ def test_verdict_guard_survives_optimize_flag(tmp_path):
                  ' "moves": [{"kind": "discard", "edge": [2, 3]}],'
                  ' "end": {"agents": [1, 2, 3], "edges": []}}',
                  "hyperedge (2, 3) is not in the state", id="absent-operand"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded",
+                 id="nested-too-deep"),
 ])
 def test_replay_rejects_malformed_trace(tmp_path, capsys, payload, field):
     trace_file = tmp_path / "trace.json"
@@ -309,6 +311,31 @@ def test_check_past_color_bound_uses_the_search_cuts(tmp_path, capsys):
         witness = witness_from_json(direction["witness"], source.agents)
         assert (witness.source_cut, witness.target_cut) == cuts
         assert (bcm_cut(a, witness.coloring), bcm_cut(b, witness.coloring)) == cuts
+
+
+def test_check_past_color_bound_splits_distinct_trees(tmp_path, capsys):
+    # paths 1-2-...-23 and 1-3-2-4-...-23 have equal degrees and are both
+    # connected, so neither search cut blocks; the tree split does
+    n = 23
+    order = [1, 3, 2, *range(4, n + 1)]
+    path = write_state(tmp_path, "path.txt", f"agents: {n}\n"
+                       + "".join(f"cat: {i} {i + 1}\n" for i in range(1, n)))
+    swapped = write_state(tmp_path, "swapped.txt", f"agents: {n}\n"
+                          + "".join(f"cat: {a} {b}\n" for a, b in zip(order, order[1:])))
+    assert main(["check", "--json", path, swapped]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"] == "incomparable"
+    source, target = (parse_hypergraph(open(p).read()) for p in (path, swapped))
+    for key, (a, b), names in (("forward", (source, target), ["source", "target"]),
+                               ("backward", (target, source), ["target", "source"])):
+        direction = report[key]
+        assert direction["verdict"] == "impossible"
+        assert direction["note"].startswith("witness scan skipped")
+        assert direction["witness"]["direction"] == names
+        witness = witness_from_json(direction["witness"], source.agents)
+        assert witness.source_cut == 1
+        assert bcm_cut(a, witness.coloring) == 1
+        assert bcm_cut(b, witness.coloring) == witness.target_cut > 1
 
 
 @pytest.mark.parametrize("argv,claim", [

@@ -3,7 +3,8 @@
 Every failure the package raises is an InputError, a BoundExceeded, an
 IllegalMove, or an AssertionError from `require` (an internal
 inconsistency, which must survive `python -O`, so no `assert` statement
-may carry it).
+may carry it).  Only `hypergraph.py` may build an object with
+`object.__new__`, the trusted path that skips validation.
 """
 
 import ast
@@ -37,6 +38,24 @@ def test_every_raise_names_a_taxonomy_class(path):
     stray = [(node.lineno, _raised_name(node)) for node in ast.walk(tree)
              if isinstance(node, ast.Raise) and _raised_name(node) not in ALLOWED]
     assert stray == []
+
+
+def _is_object_new(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_trusted_construction_stays_in_hypergraph(path):
+    # Hypergraph.replace builds its result with object.__new__, skipping
+    # validation; anywhere else that would let unchecked states in
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _is_object_new(node)]
+    if path.name == "hypergraph.py":
+        assert lines, "Hypergraph.replace no longer uses object.__new__"
+    else:
+        assert lines == [], f"{path.name}: object.__new__ outside hypergraph.py"
 
 
 def test_errors_module_defines_the_taxonomy():
