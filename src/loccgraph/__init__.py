@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .hypergraph import (
     Hypergraph,
-    StructureReport,
     cat_state,
     copies,
     epr_pair,
@@ -18,20 +17,16 @@ from .hypergraph import (
     is_connected,
     is_entangled_hypertree,
     is_spanning_epr_tree,
-    isolated_agents,
     parse_hypergraph,
     path_tree,
     pendant_vertices,
     star_tree,
-    structure_report,
     uniformity,
 )
 from .merging import (
-    BcmGraph,
     Bicoloring,
     BlockingWitness,
     bcm_cut,
-    bcm_reduce,
     find_blocking_witness,
     min_copies_lower_bound,
 )

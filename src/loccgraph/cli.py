@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -21,8 +20,9 @@ from .errors import BoundExceeded, InputError, LoccError, require
 from .hypergraph import (
     Hypergraph,
     format_hypergraph,
-    is_spanning_epr_tree,
+    is_entangled_hypertree,
     parse_hypergraph,
+    uniformity,
 )
 from .merging import (
     DEFAULT_COLOR_BOUND,
@@ -30,7 +30,6 @@ from .merging import (
     BlockingWitness,
     find_blocking_witness,
     make_witness,
-    min_copies_lower_bound,
 )
 from .protocols import (
     DEFAULT_SEARCH_BUDGET,
@@ -41,20 +40,14 @@ from .protocols import (
     ProtocolTrace,
     Swap,
     _cut_pruner,
-    cat_copies_to_tree,
     make_trace,
     reachability_search,
     replay_trace,
 )
 from .enumeration import TREE_ENUM_MAX_N, all_spanning_trees, random_r_uniform_hypertree
 from .distance import distance_report
-from .witnesses import (
-    check_order_chain,
-    find_separating_pair,
-    r_uniform_incomparability,
-    witness_distinct_spanning_trees,
-)
-from .hypergraph import cat_state
+from .sweeps import run_sweeps
+from .witnesses import witness_r_uniform_hypertrees
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -140,6 +133,18 @@ def trace_from_json(data: dict) -> ProtocolTrace:
     return trace
 
 
+def _field_to_json(value):
+    """A field of a sweep failure: states, moves and colorings are encoded,
+    the rest is JSON already."""
+    if isinstance(value, Hypergraph):
+        return state_to_json(value)
+    if isinstance(value, tuple(MOVE_KINDS.values())):
+        return move_to_json(value)
+    if isinstance(value, Bicoloring):
+        return value.bits()
+    return value
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as f:
@@ -196,8 +201,9 @@ def _judge_direction(source: Hypergraph, target: Hypergraph, *,
                      color_bound: int, search_budget: int,
                      direction: tuple[str, str]) -> DirectionVerdict:
     """Witness scan first (past the color bound, the cuts that prune the
-    search, then the tree split of two distinct spanning trees); only a
-    direction without a witness is searched."""
+    search, then the witness of two distinct r-uniform hypertrees, which
+    for r = 2 is the tree split); only a direction without a witness is
+    searched."""
     witness = None
     note = ""
     try:
@@ -210,9 +216,11 @@ def _judge_direction(source: Hypergraph, target: Hypergraph, *,
         if side is not None:
             witness = make_witness(source, target, Bicoloring(source.agents, side),
                                    direction=direction)
-        elif source != target and is_spanning_epr_tree(source) and is_spanning_epr_tree(target):
-            split = witness_distinct_spanning_trees(source, target)[1]
-            witness = make_witness(source, target, split.coloring, direction=direction)
+        elif (source != target and is_entangled_hypertree(source)
+              and is_entangled_hypertree(target) and uniformity(source) is not None
+              and uniformity(source) == uniformity(target)):
+            blocked = witness_r_uniform_hypertrees(source, target)[0]
+            witness = make_witness(source, target, blocked.coloring, direction=direction)
     trace = None
     if witness is None:
         try:
@@ -284,7 +292,7 @@ def cmd_check(args) -> int:
 def cmd_distance(args) -> int:
     t1 = _read_state(args.source)
     t2 = _read_state(args.target)
-    report = distance_report(t1, t2)
+    report = distance_report(t1, t2, color_bound=args.color_bound)
     if args.json:
         print(json.dumps({
             "qd": report.qd,
@@ -366,227 +374,6 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# theorem sweeps
-# ---------------------------------------------------------------------------
-
-def _sweep_order_chains(n_max: int) -> dict:
-    fails = []
-    for n in range(3, n_max + 1):
-        try:
-            check_order_chain(n)
-        except (AssertionError, LoccError) as exc:
-            fails.append({"n": n, "error": str(exc)})
-    return {"name": "order-chain", "checked": max(0, n_max - 2), "failures": fails}
-
-
-def _sweep_tree_pairs(n_max: int) -> dict:
-    checked = 0
-    fails = []
-    for n in range(3, n_max + 1):
-        trees = list(all_spanning_trees(n))
-        for t1, t2 in itertools.combinations(trees, 2):
-            checked += 1
-            try:
-                for a, b in ((t1, t2), (t2, t1)):
-                    _, witness = witness_distinct_spanning_trees(a, b)
-                    require(witness.target_cut > witness.source_cut, "the tree split blocks")
-                    require(find_blocking_witness(a, b) is not None, "the scan blocks")
-            except (AssertionError, LoccError) as exc:
-                if not fails:
-                    fails.append({"n": n, "t1": state_to_json(t1), "t2": state_to_json(t2),
-                                  "error": str(exc)})
-    return {"name": "spanning-tree-incomparability", "checked": checked, "failures": fails}
-
-
-def _sweep_tree_counts(n_max: int) -> dict:
-    fails = []
-    checked = 0
-    for n in range(3, min(n_max, 6) + 1):
-        checked += 1
-        try:
-            require(sum(1 for _ in all_spanning_trees(n)) == n ** (n - 2),
-                    "n^(n-2) labeled trees")
-        except (AssertionError, LoccError) as exc:
-            fails.append({"n": n, "error": str(exc)})
-    return {"name": "tree-count", "checked": checked, "failures": fails}
-
-
-def _sweep_copy_bounds(n_max: int) -> dict:
-    checked = 0
-    fails = []
-    for n in range(3, n_max + 1):
-        for t in all_spanning_trees(n):
-            checked += 1
-            try:
-                require(min_copies_lower_bound(cat_state(n), t) == n - 1,
-                        "the copy lower bound is n - 1")
-                require(cat_copies_to_tree(t).end == t, "n - 1 CAT copies make the tree")
-            except (AssertionError, LoccError) as exc:
-                fails.append({"n": n, "tree": state_to_json(t), "error": str(exc)})
-                break
-    return {"name": "cat-copy-bound", "checked": checked, "failures": fails}
-
-
-def _sweep_r_uniform(r_list, seed: int, sample_count: int) -> dict:
-    checked = 0
-    fails = []
-    sizes = {3: 7, 4: 7, 5: 9}
-    for r in r_list:
-        n = sizes.get(r, r * 2 + 1)
-        if (n - 1) % (r - 1) != 0:
-            n = r * 2 - 1
-        produced = 0
-        attempt = 0
-        while produced < sample_count:
-            h1 = random_r_uniform_hypertree(n, r, seed + 2 * attempt)
-            h2 = random_r_uniform_hypertree(n, r, seed + 2 * attempt + 1)
-            attempt += 1
-            if h1 == h2:
-                continue
-            produced += 1
-            checked += 1
-            try:
-                pair = find_separating_pair(h1, h2)
-                fwd, bwd = r_uniform_incomparability(h1, h2)
-                require(fwd.witness.target_cut > fwd.witness.source_cut, "h1 -/-> h2")
-                require(bwd.witness.target_cut > bwd.witness.source_cut, "h2 -/-> h1")
-            except (AssertionError, LoccError) as exc:
-                if not fails:
-                    fails.append({"r": r, "n": n,
-                                  "h1": state_to_json(h1), "h2": state_to_json(h2),
-                                  "error": str(exc)})
-    return {"name": "r-uniform-hypertree-incomparability",
-            "checked": checked, "failures": fails}
-
-
-def _sweep_disconnected(seed: int, sample_count: int) -> dict:
-    import random as _random
-
-    from .witnesses import witness_cat_vs_disconnected, witness_disconnected_vs_cat
-
-    rng = _random.Random(seed)
-    checked = 0
-    fails = []
-    for n in (4, 5, 6):
-        for _ in range(sample_count):
-            cut = rng.randint(2, n - 2)
-            groups = (range(1, cut + 1), range(cut + 1, n + 1))
-            edges = set()
-            while len(edges) < 2:
-                for part in groups:
-                    part = list(part)
-                    if len(part) < 2:
-                        continue
-                    for _ in range(rng.randint(1, len(part))):
-                        edges.add(tuple(sorted(rng.sample(part, 2))))
-            g = Hypergraph(tuple(range(1, n + 1)), tuple(edges))
-            checked += 1
-            try:
-                witness_disconnected_vs_cat(g)
-                witness_cat_vs_disconnected(g)
-            except (AssertionError, LoccError) as exc:
-                if not fails:
-                    fails.append({"n": n, "g": state_to_json(g), "error": str(exc)})
-    return {"name": "disconnected-vs-cat", "checked": checked, "failures": fails}
-
-
-def _sweep_pendant(seed: int, sample_count: int) -> dict:
-    from .hypergraph import pendant_vertices
-    from .witnesses import witness_pendant_condition
-
-    checked = 0
-    fails = []
-    attempt = 0
-    while checked < sample_count:
-        h1 = random_r_uniform_hypertree(7, 3, seed=seed + attempt)
-        h2 = random_r_uniform_hypertree(7, 3, seed=seed + attempt + 10 ** 7)
-        attempt += 1
-        p1, p2 = pendant_vertices(h1), pendant_vertices(h2)
-        if not (p1 - p2) or not (p2 - p1):
-            continue
-        checked += 1
-        try:
-            witness_pendant_condition(h1, h2)
-            require(find_blocking_witness(h1, h2) is not None, "scan finds h1 -/-> h2")
-            require(find_blocking_witness(h2, h1) is not None, "scan finds h2 -/-> h1")
-        except (AssertionError, LoccError) as exc:
-            if not fails:
-                fails.append({"h1": state_to_json(h1), "h2": state_to_json(h2),
-                              "error": str(exc)})
-    return {"name": "pendant-condition", "checked": checked, "failures": fails}
-
-
-def _sweep_distance(seed: int, sample_count: int) -> dict:
-    import random as _random
-
-    from .enumeration import random_spanning_tree
-    from .protocols import replay_trace
-    from .distance import find_saturating_pairs, quantum_distance
-
-    rng = _random.Random(seed)
-    checked = 0
-    fails = []
-    try:
-        for _ in range(sample_count):
-            n = rng.randint(4, 7)
-            a = random_spanning_tree(n, rng.randrange(10 ** 9))
-            b = random_spanning_tree(n, rng.randrange(10 ** 9))
-            c = random_spanning_tree(n, rng.randrange(10 ** 9))
-            checked += 1
-            require(quantum_distance(a, b) == quantum_distance(b, a), "symmetry")
-            require((quantum_distance(a, b) == 0) == (a == b), "zero iff equal")
-            require(quantum_distance(a, c) <= quantum_distance(a, b) + quantum_distance(b, c),
-                    "triangle inequality")
-            if a != b:
-                rep = distance_report(a, b)
-                require(2 <= rep.copies_lower <= rep.copies_upper == rep.qd + 1,
-                        "2 <= copies_lower <= copies_upper == qd + 1")
-                require(replay_trace(rep.upper_trace) == b, "upper trace reaches b")
-        low, high = find_saturating_pairs(3)
-        require(distance_report(*low).copies_lower == 2, "lower bound 2 is attained")
-        rep = distance_report(*high)
-        require(rep.copies_lower == rep.copies_upper, "upper bound qd + 1 is attained")
-    except (AssertionError, LoccError) as exc:
-        fails.append({"error": str(exc)})
-    return {"name": "quantum-distance", "checked": checked, "failures": fails}
-
-
-def _sweep_soundness(seed: int, sample_count: int) -> dict:
-    import random as _random
-
-    from .merging import bcm_cut
-    from .protocols import apply_move, legal_moves
-
-    rng = _random.Random(seed)
-    checked = 0
-    fails = []
-    while checked < sample_count * 10:
-        n = rng.randint(3, 7)
-        edges = tuple(tuple(rng.sample(range(1, n + 1), rng.randint(2, min(4, n))))
-                      for _ in range(rng.randint(1, 4)))
-        state = Hypergraph(tuple(range(1, n + 1)), edges)
-        moves = legal_moves(state)
-        if not moves:
-            continue
-        checked += 1
-        move = moves[rng.randrange(len(moves))]
-        mask = rng.randrange(1 << n)
-        coloring = Bicoloring(state.agents,
-                              frozenset(a for i, a in enumerate(state.agents)
-                                        if mask >> i & 1))
-        try:
-            require(bcm_cut(apply_move(state, move), coloring) <= bcm_cut(state, coloring),
-                    "no move raises a cut")
-        except (AssertionError, LoccError) as exc:
-            fails.append({"state": state_to_json(state),
-                          "move": move_to_json(move),
-                          "coloring": coloring.bits(),
-                          "error": str(exc)})
-            break
-    return {"name": "move-soundness", "checked": checked, "failures": fails}
-
-
 def cmd_verify_theorems(args) -> int:
     # checked before any sweep runs: a sweep over no cases would pass
     # vacuously, and an --n-max past the enumeration bound would fail only
@@ -600,17 +387,7 @@ def cmd_verify_theorems(args) -> int:
     if any(r < 3 for r in args.r_list):
         raise InputError(f"--r-list values must be at least 3, got {min(args.r_list)} "
                          "(r = 2 is the spanning-tree case, which the tree sweeps cover)")
-    sweeps = [
-        _sweep_order_chains(args.n_max),
-        _sweep_tree_counts(args.n_max),
-        _sweep_tree_pairs(args.n_max),
-        _sweep_copy_bounds(args.n_max),
-        _sweep_disconnected(args.seed, args.sample_count),
-        _sweep_pendant(args.seed, args.sample_count),
-        _sweep_r_uniform(args.r_list, args.seed, args.sample_count),
-        _sweep_distance(args.seed, args.sample_count),
-        _sweep_soundness(args.seed, args.sample_count),
-    ]
+    sweeps = run_sweeps(args.n_max, args.r_list, args.seed, args.sample_count)
     failed = False
     for sweep in sweeps:
         status = "PASS" if not sweep["failures"] else "FAIL"
@@ -618,6 +395,9 @@ def cmd_verify_theorems(args) -> int:
         if not args.json:
             print(f"{sweep['name']}: {sweep['checked']} checked, {status}")
     if args.json:
+        for sweep in sweeps:
+            sweep["failures"] = [{key: _field_to_json(value) for key, value in failure.items()}
+                                 for failure in sweep["failures"]]
         print(json.dumps({"version": __version__, "sweeps": sweeps}, indent=2))
     return EXIT_OK if not failed else 1
 
@@ -634,58 +414,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
-        p.add_argument("--color-bound", type=int, default=DEFAULT_COLOR_BOUND,
-                       help="max agents for the exhaustive coloring scan (time and memory "
-                            "double per agent; n = 22 takes about 0.1 s and 18 MiB)")
-        p.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-                       help="max canonical states for reachability search")
+    shared = {
+        "--json": dict(action="store_true", help="emit a JSON report"),
+        "--seed": dict(type=int, default=0, help="seed for sampled instances"),
+        "--color-bound": dict(type=int, default=DEFAULT_COLOR_BOUND,
+                              help="max agents for the exhaustive coloring scan (time and "
+                                   "memory double per agent; n = 22 takes about 0.1 s and "
+                                   "18 MiB)"),
+        "--search-budget": dict(type=int, default=DEFAULT_SEARCH_BUDGET,
+                                help="max canonical states for reachability search"),
+    }
 
-    p = sub.add_parser("check", help="classify a pair of state files")
-    p.add_argument("source")
-    p.add_argument("target")
-    common(p)
-    p.set_defaults(func=cmd_check)
+    def command(name, func, help, *arguments):
+        """A subcommand taking only the arguments its handler reads."""
+        p = sub.add_parser(name, help=help)
+        for argument in arguments:
+            p.add_argument(argument, **shared.get(argument, {}))
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify-theorems", help="run the theorem sweeps")
+    command("check", cmd_check, "classify a pair of state files",
+            "source", "target", "--json", "--color-bound", "--search-budget")
+    p = command("verify-theorems", cmd_verify_theorems, "run the theorem sweeps",
+                "--json", "--seed")
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--r-list", type=int, nargs="*", default=[3])
     p.add_argument("--sample-count", type=int, default=50)
-    common(p)
-    p.set_defaults(func=cmd_verify_theorems)
-
-    p = sub.add_parser("distance", help="quantum distance between two trees")
-    p.add_argument("source")
-    p.add_argument("target")
-    common(p)
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("protocol", help="search for an LOCC protocol")
-    p.add_argument("source")
-    p.add_argument("target")
-    common(p)
-    p.set_defaults(func=cmd_protocol)
-
-    p = sub.add_parser("replay", help="replay a JSON trace file")
-    p.add_argument("trace")
-    common(p)
-    p.set_defaults(func=cmd_replay)
-
-    p = sub.add_parser("enumerate", help="emit instances in the text format")
+    command("distance", cmd_distance, "quantum distance between two trees",
+            "source", "target", "--json", "--color-bound")
+    command("protocol", cmd_protocol, "search for an LOCC protocol",
+            "source", "target", "--json", "--search-budget")
+    command("replay", cmd_replay, "replay a JSON trace file", "trace")
+    p = command("enumerate", cmd_enumerate, "emit instances in the text format", "--seed")
     p.add_argument("kind", choices=["trees", "hypertrees"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--count", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("export-dot", help="render a state file as DOT")
-    p.add_argument("source")
-    common(p)
-    p.set_defaults(func=cmd_export_dot)
-
+    command("export-dot", cmd_export_dot, "render a state file as DOT", "source")
     return parser
 
 

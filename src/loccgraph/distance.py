@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, require
 from .hypergraph import Hypergraph, is_spanning_epr_tree
-from .merging import min_copies_lower_bound
+from .merging import DEFAULT_COLOR_BOUND, min_copies_lower_bound
 from .protocols import ProtocolTrace, trees_copies_to_tree
 from .enumeration import all_spanning_trees
 
@@ -44,12 +44,14 @@ class DistanceReport:
     upper_trace: ProtocolTrace  # evidence for the copy upper bound
 
 
-def distance_report(t1: Hypergraph, t2: Hypergraph) -> DistanceReport:
+def distance_report(t1: Hypergraph, t2: Hypergraph, *,
+                    color_bound: int = DEFAULT_COLOR_BOUND) -> DistanceReport:
     """Distance plus copy/qubit bounds for turning t1 into t2 by LOCC.
 
     copies_lower is the larger of 2 (distinct trees are incomparable, so
-    one copy can never suffice) and the bipartition-cut bound; soundness of
-    the move calculus guarantees it never exceeds copies_upper.
+    one copy can never suffice) and the bipartition-cut bound, whose
+    coloring scan is limited to `color_bound` agents; soundness of the
+    move calculus guarantees it never exceeds copies_upper.
     """
     _require_trees(t1, t2)
     qd = quantum_distance(t1, t2)
@@ -57,7 +59,7 @@ def distance_report(t1: Hypergraph, t2: Hypergraph) -> DistanceReport:
     if qd == 0:
         lower = 1
     else:
-        lower = max(2, int(min_copies_lower_bound(t1, t2)))
+        lower = max(2, int(min_copies_lower_bound(t1, t2, color_bound=color_bound)))
     report = DistanceReport(qd=qd, copies_lower=lower, copies_upper=qd + 1,
                             qubit_upper=qd, upper_trace=trace)
     require(report.copies_lower <= report.copies_upper, "copies_lower <= copies_upper")

@@ -15,7 +15,7 @@ from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import IllegalMove, InputError, require
+from .errors import IllegalMove, InputError
 
 Edge = tuple[int, ...]
 
@@ -31,7 +31,7 @@ class Hypergraph:
     key.
 
     Agents that appear in no hyperedge are allowed (they arise mid
-    protocol) and are reported by :func:`structure_report`.
+    protocol).
     """
 
     agents: tuple[int, ...]
@@ -228,45 +228,10 @@ def uniformity(h: Hypergraph) -> int | None:
 
 
 def pendant_vertices(h: Hypergraph) -> frozenset[int]:
-    """Agents belonging to exactly one hyperedge instance.
-
-    Agents in zero hyperedges are excluded here; structure_report lists
-    them separately.
-    """
+    """Agents belonging to exactly one hyperedge instance (agents in no
+    hyperedge are not pendant)."""
     counts = Counter(a for e in h.edges for a in e)
     return frozenset(a for a, c in counts.items() if c == 1)
-
-
-def isolated_agents(h: Hypergraph) -> frozenset[int]:
-    covered = {a for e in h.edges for a in e}
-    return frozenset(set(h.agents) - covered)
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    connected: bool
-    is_hypertree: bool
-    uniform_r: int | None
-    pendant_vertices: frozenset[int]
-    isolated_agents: frozenset[int]
-    edge_count: int
-
-
-def structure_report(h: Hypergraph) -> StructureReport:
-    """Aggregate of the structural predicates for one configuration."""
-    uniform_r = uniformity(h) if h.edges else None
-    hypertree = is_entangled_hypertree(h)
-    if hypertree and uniform_r is not None:
-        require(len(h.edges) * (uniform_r - 1) + 1 == h.n,
-                "edge-count law for uniform hypertrees")
-    return StructureReport(
-        connected=is_connected(h),
-        is_hypertree=hypertree,
-        uniform_r=uniform_r,
-        pendant_vertices=pendant_vertices(h),
-        isolated_agents=isolated_agents(h),
-        edge_count=len(h.edges),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 they induce.
 
 Coloring every agent A or B and handing each color class to a single party
-collapses a multipartite configuration to a two-party one.  For maximally
-entangled states the number of bichromatic hyperedges equals the number of
-EPR pairs the merged parties share, i.e. the marginal entropy across the
-bipartition.  Since LOCC cannot increase that entropy, a coloring under
-which the target's cut exceeds the source's cut is a machine-checkable
-proof that the transformation is impossible: a blocking witness.
+collapses a multipartite configuration to a two-party one: a hyperedge
+holding agents of both colors (bichromatic) collapses to an EPR pair
+between the two parties, any other hyperedge to a state local to one of
+them.  For maximally entangled states the number of bichromatic hyperedges
+therefore equals the number of EPR pairs the merged parties share, i.e. the
+marginal entropy across the bipartition.  Since LOCC cannot increase that
+entropy, a coloring under which the target's cut exceeds the source's cut
+is a machine-checkable proof that the transformation is impossible: a
+blocking witness.
 
 The scans over all 2^(n-1) colorings are bit-parallel (broadword
 computing, Knuth, TAOCP 4A, section 7.1.3): bit m of an integer stands for
@@ -53,9 +56,6 @@ class Bicoloring:
         """Both colors occur."""
         return 0 < len(self.a_side) < len(self.agents)
 
-    def flipped(self) -> "Bicoloring":
-        return Bicoloring(self.agents, self.b_side)
-
     def bits(self) -> str:
         """'1' for A, '0' for B, in canonical agent order."""
         return "".join("1" if a in self.a_side else "0" for a in self.agents)
@@ -66,18 +66,6 @@ class Bicoloring:
         if len(bits) != len(agents) or set(bits) - {"0", "1"}:
             raise InputError("bit string does not match agent set")
         return cls(agents, frozenset(a for a, b in zip(agents, bits) if b == "1"))
-
-
-@dataclass(frozen=True)
-class BcmGraph:
-    """Per-hyperedge collapse record of the merged two-party graph.
-
-    A hyperedge collapses to a simple edge iff it holds agents of both
-    colors, otherwise to a single vertex.
-    """
-
-    cross_edge_count: int
-    collapsed: tuple[tuple[Edge, str], ...]  # (hyperedge, "edge" | "vertex")
 
 
 @dataclass(frozen=True)
@@ -105,12 +93,6 @@ def _bichromatic(edge: Edge, a_side: frozenset[int]) -> bool:
 def bcm_cut(h: Hypergraph, coloring: Bicoloring) -> int:
     """Number of bichromatic hyperedges, counted with multiplicity."""
     return sum(_bichromatic(e, coloring.a_side) for e in h.edges)
-
-
-def bcm_reduce(h: Hypergraph, coloring: Bicoloring) -> BcmGraph:
-    records = tuple((e, "edge" if _bichromatic(e, coloring.a_side) else "vertex")
-                    for e in h.edges)
-    return BcmGraph(cross_edge_count=bcm_cut(h, coloring), collapsed=records)
 
 
 def _check_bound(agents, bound: int) -> None:

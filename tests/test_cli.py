@@ -1,6 +1,10 @@
 """Command-line surface: verdicts, reports, round-trips, exit codes."""
 
+import argparse
+import ast
+import inspect
 import json
+import textwrap
 
 import pytest
 
@@ -18,6 +22,7 @@ from loccgraph.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNKNOWN,
+    build_parser,
     main,
     move_from_json,
     move_to_json,
@@ -313,15 +318,20 @@ def test_check_past_color_bound_uses_the_search_cuts(tmp_path, capsys):
         assert (bcm_cut(a, witness.coloring), bcm_cut(b, witness.coloring)) == cuts
 
 
-def test_check_past_color_bound_splits_distinct_trees(tmp_path, capsys):
-    # paths 1-2-...-23 and 1-3-2-4-...-23 have equal degrees and are both
-    # connected, so neither search cut blocks; the tree split does
+def _swapped_paths(tmp_path):
+    # paths 1-2-...-23 and 1-3-2-4-...-23: 23 agents exceed the default
+    # color bound, and equal degrees and connectedness leave no search cut
     n = 23
     order = [1, 3, 2, *range(4, n + 1)]
     path = write_state(tmp_path, "path.txt", f"agents: {n}\n"
                        + "".join(f"cat: {i} {i + 1}\n" for i in range(1, n)))
     swapped = write_state(tmp_path, "swapped.txt", f"agents: {n}\n"
                           + "".join(f"cat: {a} {b}\n" for a, b in zip(order, order[1:])))
+    return path, swapped
+
+
+def test_check_past_color_bound_splits_distinct_trees(tmp_path, capsys):
+    path, swapped = _swapped_paths(tmp_path)
     assert main(["check", "--json", path, swapped]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["classification"] == "incomparable"
@@ -336,6 +346,69 @@ def test_check_past_color_bound_splits_distinct_trees(tmp_path, capsys):
         assert witness.source_cut == 1
         assert bcm_cut(a, witness.coloring) == 1
         assert bcm_cut(b, witness.coloring) == witness.target_cut > 1
+
+
+def test_check_past_color_bound_splits_distinct_hypertrees(tmp_path, capsys):
+    # the 3-uniform chain (1,2,3),(3,4,5),...,(21,22,23) against the same
+    # with agents 2 and 4 swapped: equal degrees, both connected, so neither
+    # search cut blocks, and the bounded search alone would say unknown
+    n = 23
+    chain = [(i, i + 1, i + 2) for i in range(1, n - 1, 2)]
+    swap = {2: 4, 4: 2}
+    swapped = [tuple(swap.get(a, a) for a in e) for e in chain]
+    files = [write_state(tmp_path, name, f"agents: {n}\n"
+                         + "".join(f"cat: {' '.join(map(str, e))}\n" for e in edges))
+             for name, edges in (("chain.txt", chain), ("swapped.txt", swapped))]
+    assert main(["check", "--json", "--search-budget", "2000", *files]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"] == "incomparable"
+    source, target = (parse_hypergraph(open(p).read()) for p in files)
+    for key, (a, b) in (("forward", (source, target)), ("backward", (target, source))):
+        direction = report[key]
+        assert direction["verdict"] == "impossible"
+        assert direction["note"].startswith("witness scan skipped")
+        witness = witness_from_json(direction["witness"], source.agents)
+        assert (witness.source_cut, witness.target_cut) == (1, 2)
+        assert (bcm_cut(a, witness.coloring), bcm_cut(b, witness.coloring)) == (1, 2)
+
+
+def test_distance_honours_color_bound(tmp_path, capsys):
+    path, swapped = _swapped_paths(tmp_path)
+    assert main(["distance", path, swapped, "--color-bound", "23"]) == EXIT_OK
+    assert "copies needed: between 3 and 3" in capsys.readouterr().out
+    assert main(["distance", path, swapped]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: 23 agents exceeds the coloring bound 22\n"
+
+
+def _subcommands() -> dict:
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _options_read(handler) -> set:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+@pytest.mark.parametrize("name", sorted(_subcommands()))
+def test_subcommand_declares_only_what_its_handler_reads(name):
+    subparser = _subcommands()[name]
+    declared = {a.dest for a in subparser._actions if not isinstance(a, argparse._HelpAction)}
+    assert declared == _options_read(subparser.get_default("func"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay", "trace.json", "--json"],
+    ["export-dot", "a.txt", "--color-bound", "5"],
+])
+def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,claim", [
@@ -424,11 +497,11 @@ def test_theorem_sweeps_survive_optimize_flag():
     script = (
         "import json, sys\n"
         "import loccgraph.distance as distance\n"
-        "import loccgraph.cli as cli\n"
+        "import loccgraph.sweeps as sweeps\n"
         "assert False, 'assert statements must be stripped under -O'\n"
         "real = distance.quantum_distance\n"
         "distance.quantum_distance = lambda a, b: real(a, b) + (a.edges < b.edges)\n"
-        "print(json.dumps(cli._sweep_distance(seed=0, sample_count=5)))\n"
+        "print(json.dumps(sweeps.quantum_distance(seed=0, sample_count=5)))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(loccgraph.__file__)))
     env = {**os.environ, "PYTHONPATH": src}

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from loccgraph import (
     Hypergraph,
-    cat_state,
     format_hypergraph,
     is_connected,
     is_entangled_hypertree,
@@ -17,7 +16,6 @@ from loccgraph import (
     path_tree,
     pendant_vertices,
     star_tree,
-    structure_report,
     uniformity,
 )
 from loccgraph.enumeration import random_r_uniform_hypertree
@@ -102,17 +100,6 @@ def test_pendant_vertices():
     assert pendant_vertices(H(3, (1, 2, 3))) == {1, 2, 3}
 
 
-def test_structure_report():
-    rep = structure_report(H(7, (1, 2, 3), (3, 4, 5), (5, 6, 7)))
-    assert rep.is_hypertree and rep.uniform_r == 3 and rep.edge_count == 3
-    rep = structure_report(H(4, (1, 2), (3, 4)))
-    assert not rep.connected and not rep.is_hypertree
-    rep = structure_report(cat_state(3))
-    assert rep.uniform_r == 3 and rep.pendant_vertices == {1, 2, 3}
-    rep = structure_report(H(3, (1, 2)))
-    assert rep.isolated_agents == {3}
-
-
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -121,9 +108,8 @@ def test_structure_report():
 def test_uniform_hypertree_edge_count_law(r, m, seed):
     n = m * (r - 1) + 1
     h = random_r_uniform_hypertree(n, r, seed)
-    rep = structure_report(h)
-    assert rep.is_hypertree and rep.uniform_r == r
-    assert rep.edge_count * (r - 1) + 1 == h.n
+    assert is_entangled_hypertree(h) and uniformity(h) == r
+    assert len(h.edges) * (r - 1) + 1 == h.n
 
 
 @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 10 ** 6))

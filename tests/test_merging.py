@@ -9,7 +9,6 @@ from loccgraph import (
     Bicoloring,
     Hypergraph,
     bcm_cut,
-    bcm_reduce,
     cat_state,
     copies,
     find_blocking_witness,
@@ -45,21 +44,6 @@ def test_constant_coloring_cuts_nothing():
     for h in (cat_state(4), path_tree(5), H(4, (1, 2), (1, 2), (3, 4))):
         assert bcm_cut(h, coloring(h.n, set())) == 0
         assert bcm_cut(h, coloring(h.n, set(h.agents))) == 0
-
-
-def test_reduce_records_collapse_per_hyperedge():
-    record = bcm_reduce(H(4, (1, 2, 3, 4)), coloring(4, {1, 2}))
-    assert record.cross_edge_count == 1
-    assert record.collapsed == (((1, 2, 3, 4), "edge"),)
-    record = bcm_reduce(H(2, (1, 2)), coloring(2, {1, 2}))
-    assert record.collapsed == (((1, 2), "vertex"),)
-    assert record.cross_edge_count == 0
-
-
-def test_reduce_count_matches_cut():
-    h = H(6, (1, 2, 3), (3, 4), (4, 5, 6), (1, 6))
-    for c in iter_bicolorings(h.agents):
-        assert bcm_reduce(h, c).cross_edge_count == bcm_cut(h, c)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +122,8 @@ def test_empty_target_needs_no_copies():
 def test_color_swap_symmetry(seed, mask):
     t = random_spanning_tree(8, seed)
     c = Bicoloring(t.agents, frozenset(a for i, a in enumerate(t.agents) if mask >> i & 1))
-    assert bcm_cut(t, c) == bcm_cut(t, c.flipped())
+    flipped = Bicoloring(t.agents, frozenset(t.agents) - c.a_side)
+    assert bcm_cut(t, c) == bcm_cut(t, flipped)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(0, 2 ** 6 - 1))
