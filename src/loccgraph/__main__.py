@@ -1,0 +1,7 @@
+"""`python -m loccgraph`: the command line of `loccgraph.cli`."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

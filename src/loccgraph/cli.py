@@ -47,7 +47,7 @@ from .protocols import (
 from .enumeration import TREE_ENUM_MAX_N, all_spanning_trees, random_r_uniform_hypertree
 from .distance import distance_report
 from .sweeps import run_sweeps
-from .witnesses import witness_r_uniform_hypertrees
+from .witnesses import _hypertree_direction, witness_distinct_spanning_trees
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -219,8 +219,12 @@ def _judge_direction(source: Hypergraph, target: Hypergraph, *,
         elif (source != target and is_entangled_hypertree(source)
               and is_entangled_hypertree(target) and uniformity(source) is not None
               and uniformity(source) == uniformity(target)):
-            blocked = witness_r_uniform_hypertrees(source, target)[0]
-            witness = make_witness(source, target, blocked.coloring, direction=direction)
+            if uniformity(source) == 2:
+                blocked = witness_distinct_spanning_trees(source, target)[1]
+                witness = make_witness(source, target, blocked.coloring,
+                                       direction=direction)
+            else:
+                witness = _hypertree_direction(source, target, direction).witness
     trace = None
     if witness is None:
         try:

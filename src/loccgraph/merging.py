@@ -15,8 +15,12 @@ blocking witness.
 The scans over all 2^(n-1) colorings are bit-parallel (broadword
 computing, Knuth, TAOCP 4A, section 7.1.3): bit m of an integer stands for
 coloring m of `iter_bicolorings`, so one bitwise operation treats every
-coloring at once.  Every witness they emit has both cuts recomputed by the
-per-coloring `bcm_cut`.
+coloring at once.  A scan is two steps: `_cut_levels` builds each state's
+level sets (the colorings that cut it v times), and `_first_witness` folds
+a source's and a target's levels into the first witness.  A state's levels
+depend on nothing else, so the tree-pair sweep builds them once per tree
+and folds every pair from them.  Every witness the fold emits has both
+cuts recomputed by the per-coloring `bcm_cut`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from itertools import zip_longest
 from typing import Iterator
 
 from .errors import BoundExceeded, InputError
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Hypergraph
 
 DEFAULT_COLOR_BOUND = 22
 
@@ -46,15 +50,6 @@ class Bicoloring:
             raise InputError("A-side contains unknown agents")
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "a_side", a_side)
-
-    @property
-    def b_side(self) -> frozenset[int]:
-        return frozenset(set(self.agents) - self.a_side)
-
-    @property
-    def nontrivial(self) -> bool:
-        """Both colors occur."""
-        return 0 < len(self.a_side) < len(self.agents)
 
     def bits(self) -> str:
         """'1' for A, '0' for B, in canonical agent order."""
@@ -86,13 +81,10 @@ class BlockingWitness:
                 f"<= source cut {self.source_cut}")
 
 
-def _bichromatic(edge: Edge, a_side: frozenset[int]) -> bool:
-    return not a_side.isdisjoint(edge) and not a_side.issuperset(edge)
-
-
 def bcm_cut(h: Hypergraph, coloring: Bicoloring) -> int:
     """Number of bichromatic hyperedges, counted with multiplicity."""
-    return sum(_bichromatic(e, coloring.a_side) for e in h.edges)
+    a = coloring.a_side
+    return sum(not a.isdisjoint(e) and not a.issuperset(e) for e in h.edges)
 
 
 def _check_bound(agents, bound: int) -> None:
@@ -180,7 +172,17 @@ def find_blocking_witness(source: Hypergraph, target: Hypergraph, *,
     if source.agents != target.agents:
         raise InputError("source and target must share one agent set")
     _check_bound(source.agents, color_bound)
-    source_levels, target_levels = _cut_levels(source.agents, source, target)
+    return _first_witness(source, target, *_cut_levels(source.agents, source, target),
+                          direction=direction)
+
+
+def _first_witness(source: Hypergraph, target: Hypergraph,
+                   source_levels: list[int], target_levels: list[int], *,
+                   direction: tuple[str, str] = ("source", "target"),
+                   ) -> BlockingWitness | None:
+    """The first coloring, in `iter_bicolorings` order, whose target level
+    lies above its source level, given both level lists from `_cut_levels`
+    over the common agents; None when there is none."""
     below = found = 0
     for source_level, target_level in zip_longest(source_levels, target_levels[1:],
                                                   fillvalue=0):

@@ -183,23 +183,28 @@ def cat_to_epr(n: int, a: int, b: int) -> ProtocolTrace:
     if a == b or not (1 <= a <= n) or not (1 <= b <= n):
         raise InputError(f"agents ({a}, {b}) invalid for n={n}")
     start = cat_state(n)
-    current = start.edges[0]
-    moves = []
-    for v in range(1, n + 1):
-        if v in (a, b):
-            continue
-        moves.append(MeasureOut(edge=current, agent=v))
-        current = tuple(m for m in current if m != v)
-    return make_trace(start, moves)
+    return make_trace(start, _measure_outs(start.edges[0], a, b))
+
+
+def _measure_outs(cat: Edge, a: int, b: int) -> list[MeasureOut]:
+    """Every member of the CAT `cat` but a and b measures out, in order."""
+    moves, current = [], cat
+    for v in cat:
+        if v not in (a, b):
+            moves.append(MeasureOut(edge=current, agent=v))
+            current = tuple(m for m in current if m != v)
+    return moves
 
 
 def cat_copies_to_tree(t: Hypergraph) -> ProtocolTrace:
-    """Build a spanning tree from n-1 copies of the n-CAT, one copy per
-    edge via the measure-out distillation."""
+    """Build a spanning tree from n-1 copies of the CAT over its agents,
+    one copy per edge via the measure-out distillation."""
     if not is_spanning_epr_tree(t):
         raise InputError("target is not a spanning EPR tree")
-    moves = [m for a, b in t.edges for m in cat_to_epr(t.n, a, b).moves]
-    return make_trace(copies(cat_state(t.n), t.n - 1), moves)
+    if t.n < 2:
+        raise InputError("a CAT state needs at least two agents")
+    moves = [m for a, b in t.edges for m in _measure_outs(t.agents, a, b)]
+    return make_trace(copies(Hypergraph(t.agents, (t.agents,)), t.n - 1), moves)
 
 
 def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:

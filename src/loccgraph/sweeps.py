@@ -17,14 +17,22 @@ from . import distance
 from .errors import LoccError, require
 from .enumeration import all_spanning_trees, random_r_uniform_hypertree, random_spanning_tree
 from .hypergraph import Hypergraph, cat_state, pendant_vertices
-from .merging import Bicoloring, bcm_cut, find_blocking_witness, min_copies_lower_bound
+from .merging import (
+    Bicoloring,
+    _cut_levels,
+    _first_witness,
+    bcm_cut,
+    find_blocking_witness,
+    min_copies_lower_bound,
+)
 from .protocols import apply_move, cat_copies_to_tree, legal_moves, replay_trace
 from .witnesses import (
     check_order_chain,
     r_uniform_incomparability,
+    split_trees,
+    tree_table,
     witness_cat_vs_disconnected,
     witness_disconnected_vs_cat,
-    witness_distinct_spanning_trees,
     witness_pendant_condition,
 )
 
@@ -70,13 +78,17 @@ def order_chain(n_max: int) -> dict:
 def spanning_tree_incomparability(n_max: int) -> dict:
     sweep = Sweep("spanning-tree-incomparability")
     for n in range(3, n_max + 1):
+        # each tree's split table and cut levels are built once, for all its pairs
         trees = list(all_spanning_trees(n))
-        for t1, t2 in itertools.combinations(trees, 2):
-            with sweep.case(n=n, t1=t1, t2=t2):
-                for a, b in ((t1, t2), (t2, t1)):
-                    _, witness = witness_distinct_spanning_trees(a, b)
+        tables = [tree_table(t) for t in trees]
+        levels = _cut_levels(trees[0].agents, *trees)
+        for one, two in itertools.combinations(zip(trees, tables, levels), 2):
+            with sweep.case(n=n, t1=one[0], t2=two[0]):
+                for (a, a_table, a_levels), (b, b_table, b_levels) in ((one, two), (two, one)):
+                    _, witness = split_trees(a_table, b_table)
                     require(witness.target_cut > witness.source_cut, "the tree split blocks")
-                    require(find_blocking_witness(a, b) is not None, "the scan blocks")
+                    require(_first_witness(a, b, a_levels, b_levels) is not None,
+                            "the scan blocks")
     return sweep.report()
 
 

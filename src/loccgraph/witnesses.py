@@ -208,48 +208,99 @@ class TreeSplit:
     colored_a: frozenset[int]         # component of i in t1 minus {i, k1}
 
 
-def witness_distinct_spanning_trees(t1: Hypergraph, t2: Hypergraph,
-                                    ) -> tuple[TreeSplit, BlockingWitness]:
-    """Any two distinct spanning trees are LOCC-incomparable; this builds
-    the t1 -/-> t2 direction (swap arguments for the reverse).
+@dataclass(frozen=True)
+class TreeTable:
+    """What the tree split reads of one spanning tree, built once per tree
+    by `tree_table`: the tree rooted at its lowest agent, as tuples indexed
+    by agent position (agent `tree.agents[p]` is position p).  Agent sets
+    are bitmasks over those positions."""
+
+    tree: Hypergraph
+    position: dict[int, int]
+    parent: tuple[int, ...]           # the root is its own parent
+    depth: tuple[int, ...]
+    below: tuple[int, ...]            # each agent's subtree
+
+    def side(self, x: int, y: int) -> int:
+        """The agents on x's side once the tree edge {x, y} is cut."""
+        if self.parent[x] == y:
+            return self.below[x]
+        return self.below[0] ^ self.below[y]
+
+    def path(self, x: int, y: int) -> tuple[int, ...]:
+        """The tree path x, ..., y, climbed from both ends to their meet."""
+        up, down = [x], [y]
+        while up[-1] != down[-1]:
+            if self.depth[up[-1]] >= self.depth[down[-1]]:
+                up.append(self.parent[up[-1]])
+            else:
+                down.append(self.parent[down[-1]])
+        return (*up, *down[-2::-1])
+
+
+def tree_table(t: Hypergraph) -> TreeTable:
+    """The tree split's table of `t`; raises unless t is a spanning EPR tree."""
+    if not is_spanning_epr_tree(t):
+        raise InputError("both inputs must be spanning EPR trees")
+    position = {a: p for p, a in enumerate(t.agents)}
+    parent, depth = [0] * t.n, [0] * t.n
+    below = [1 << p for p in range(t.n)]
+    # discovery order puts every agent after its parent
+    steps = [(position[y], position[step[0]])
+             for y, step in reach(t, t.agents[0]).items() if step is not None]
+    for child, up in steps:
+        parent[child], depth[child] = up, depth[up] + 1
+    for child, up in reversed(steps):
+        below[up] |= below[child]
+    return TreeTable(t, position, tuple(parent), tuple(depth), tuple(below))
+
+
+def split_trees(s1: TreeTable, s2: TreeTable) -> tuple[TreeSplit, BlockingWitness]:
+    """The t1 -/-> t2 tree split, from the tables of t1 and t2.
 
     Cutting t1 at the first edge of the i..j path leaves exactly one
     bichromatic t1 edge, while t2 keeps the pivot plus at least one more
     edge across the split: cuts (1, >= 2).
     """
-    for t in (t1, t2):
-        if not is_spanning_epr_tree(t):
-            raise InputError("both inputs must be spanning EPR trees")
+    t1, t2 = s1.tree, s2.tree
     if t1.agents != t2.agents:
         raise InputError("trees must span the same agents")
-    extra = sorted(set(t2.edges) - set(t1.edges))
-    if not extra:
+    # the pivot: the least t2 edge missing from t1
+    for a, b in t2.edges:
+        i, j = s1.position[a], s1.position[b]
+        if s1.parent[i] != j and s1.parent[j] != i:
+            break
+    else:
         raise InputError("the trees coincide")
-    pivot = extra[0]
 
-    side = {v: frozenset(reach(t2, v, skip=pivot)) - {v} for v in pivot}
-    require(not side[pivot[0]] & side[pivot[1]], "the pivot's two sides are disjoint")
-    require(bool(side[pivot[0]] | side[pivot[1]]), "the pivot's sides are not both empty")
+    side_i = s2.side(i, j) & ~(1 << i)
+    side_j = s2.side(j, i) & ~(1 << j)
+    require(not side_i & side_j, "the pivot's two sides are disjoint")
+    require(bool(side_i | side_j), "the pivot's sides are not both empty")
 
-    def build(i: int, j: int):
-        edges, junctions = hyperpath(t1, i, j)
-        path = (i, *junctions, j)
-        colored_a = frozenset(reach(t1, i, skip=edges[0]))
-        return path, colored_a
-
-    i, j = pivot
-    path, colored_a = build(i, j)
-    k1 = path[1]
-    require(k1 in side[i] | side[j], "the first path vertex lies off the pivot")
-    if k1 not in side[i]:
+    path = s1.path(i, j)
+    require(bool((side_i | side_j) >> path[1] & 1), "the first path vertex lies off the pivot")
+    if not side_i >> path[1] & 1:
         # anchor at the other endpoint so the second t2 crossing is forced
         i, j = j, i
-        path, colored_a = build(i, j)
+        path = path[::-1]
+    colored = s1.side(i, path[1])
 
-    coloring = Bicoloring(t1.agents, colored_a)
-    witness = make_witness(t1, t2, coloring, direction=("t1", "t2"))
+    agents = t1.agents
+    colored_a = frozenset(a for p, a in enumerate(agents) if colored >> p & 1)
+    witness = make_witness(t1, t2, Bicoloring(agents, colored_a), direction=("t1", "t2"))
     require(witness.source_cut == 1, "the tree split cuts t1 once")
-    return TreeSplit(pivot_edge=(i, j), source_path=path, colored_a=colored_a), witness
+    split = TreeSplit(pivot_edge=(agents[i], agents[j]),
+                      source_path=tuple(agents[p] for p in path), colored_a=colored_a)
+    return split, witness
+
+
+def witness_distinct_spanning_trees(t1: Hypergraph, t2: Hypergraph,
+                                    ) -> tuple[TreeSplit, BlockingWitness]:
+    """Any two distinct spanning trees are LOCC-incomparable; this builds
+    the t1 -/-> t2 direction (swap arguments for the reverse) with
+    `split_trees`."""
+    return split_trees(tree_table(t1), tree_table(t2))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +532,7 @@ def witness_r_uniform_hypertrees(h1: Hypergraph, h2: Hypergraph,
     delegates to the tree split."""
     r = _require_r_uniform_hypertrees(h1, h2)
     if r == 2:
-        _, fwd = witness_distinct_spanning_trees(h1, h2)
-        _, bwd = witness_distinct_spanning_trees(h2, h1)
-        return fwd, bwd
+        s1, s2 = tree_table(h1), tree_table(h2)
+        return split_trees(s1, s2)[1], split_trees(s2, s1)[1]
     fwd_proof, bwd_proof = r_uniform_incomparability(h1, h2)
     return fwd_proof.witness, bwd_proof.witness

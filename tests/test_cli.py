@@ -348,7 +348,7 @@ def test_check_past_color_bound_splits_distinct_trees(tmp_path, capsys):
         assert bcm_cut(b, witness.coloring) == witness.target_cut > 1
 
 
-def test_check_past_color_bound_splits_distinct_hypertrees(tmp_path, capsys):
+def _swapped_chains(tmp_path):
     # the 3-uniform chain (1,2,3),(3,4,5),...,(21,22,23) against the same
     # with agents 2 and 4 swapped: equal degrees, both connected, so neither
     # search cut blocks, and the bounded search alone would say unknown
@@ -356,9 +356,13 @@ def test_check_past_color_bound_splits_distinct_hypertrees(tmp_path, capsys):
     chain = [(i, i + 1, i + 2) for i in range(1, n - 1, 2)]
     swap = {2: 4, 4: 2}
     swapped = [tuple(swap.get(a, a) for a in e) for e in chain]
-    files = [write_state(tmp_path, name, f"agents: {n}\n"
-                         + "".join(f"cat: {' '.join(map(str, e))}\n" for e in edges))
-             for name, edges in (("chain.txt", chain), ("swapped.txt", swapped))]
+    return [write_state(tmp_path, name, f"agents: {n}\n"
+                        + "".join(f"cat: {' '.join(map(str, e))}\n" for e in edges))
+            for name, edges in (("chain.txt", chain), ("swapped.txt", swapped))]
+
+
+def test_check_past_color_bound_splits_distinct_hypertrees(tmp_path, capsys):
+    files = _swapped_chains(tmp_path)
     assert main(["check", "--json", "--search-budget", "2000", *files]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["classification"] == "incomparable"
@@ -370,6 +374,44 @@ def test_check_past_color_bound_splits_distinct_hypertrees(tmp_path, capsys):
         witness = witness_from_json(direction["witness"], source.agents)
         assert (witness.source_cut, witness.target_cut) == (1, 2)
         assert (bcm_cut(a, witness.coloring), bcm_cut(b, witness.coloring)) == (1, 2)
+
+
+@pytest.mark.parametrize("inputs, builder", [
+    (_swapped_paths, "witness_distinct_spanning_trees"),
+    (_swapped_chains, "_hypertree_direction"),
+], ids=["trees", "hypertrees"])
+def test_check_past_color_bound_builds_one_witness_per_direction(tmp_path, capsys,
+                                                                 monkeypatch, inputs,
+                                                                 builder):
+    import loccgraph.cli as cli_mod
+
+    calls = {name: [] for name in ("witness_distinct_spanning_trees", "_hypertree_direction")}
+    for name, record in calls.items():
+        def recording(source, target, *rest, real=getattr(cli_mod, name), record=record):
+            record.append((source, target))
+            return real(source, target, *rest)
+        monkeypatch.setattr(cli_mod, name, recording)
+    files = inputs(tmp_path)
+    assert main(["check", "--json", "--search-budget", "2000", *files]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["classification"] == "incomparable"
+    source, target = (parse_hypergraph(open(p).read()) for p in files)
+    assert calls.pop(builder) == [(source, target), (target, source)]
+    assert calls.popitem()[1] == []
+
+
+def test_module_runs_as_a_program():
+    import os
+    import subprocess
+    import sys
+
+    import loccgraph
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loccgraph.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "loccgraph", "--version"],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().endswith(loccgraph.__version__)
 
 
 def test_distance_honours_color_bound(tmp_path, capsys):

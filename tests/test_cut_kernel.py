@@ -53,7 +53,7 @@ def oracle_min_copies(source, target, *, color_bound=DEFAULT_COLOR_BOUND):
         raise InputError("source and target must share one agent set")
     best = 0
     for coloring in iter_bicolorings(source.agents, bound=color_bound):
-        if not coloring.nontrivial:
+        if not 0 < len(coloring.a_side) < len(coloring.agents):
             continue
         t = bcm_cut(target, coloring)
         if t == 0:

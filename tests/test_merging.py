@@ -84,7 +84,7 @@ def test_coloring_stream_is_pinned_and_counted():
     cols = list(iter_bicolorings((1, 2, 3)))
     assert len(cols) == 4
     assert cols[0].a_side == frozenset()
-    assert all(1 in c.b_side for c in cols)
+    assert all(1 not in c.a_side for c in cols)
     assert len(list(iter_bicolorings((1,)))) == 1
     assert len(list(iter_bicolorings(range(1, 6)))) == 16
 
@@ -138,7 +138,7 @@ def test_tree_cut_bounds(seed, n):
     t = random_spanning_tree(n, seed)
     best = 0
     for c in iter_bicolorings(t.agents):
-        if not c.nontrivial:
+        if not 0 < len(c.a_side) < len(c.agents):
             continue
         cut = bcm_cut(t, c)
         assert cut >= 1
@@ -149,4 +149,4 @@ def test_tree_cut_bounds(seed, n):
 def test_cat_cut_is_one_for_every_nontrivial_coloring():
     cat = cat_state(6)
     for c in iter_bicolorings(cat.agents):
-        assert bcm_cut(cat, c) == (1 if c.nontrivial else 0)
+        assert bcm_cut(cat, c) == (1 if 0 < len(c.a_side) < len(c.agents) else 0)

@@ -131,6 +131,33 @@ def test_cat_copies_to_tree():
     assert trace.end == t
 
 
+def test_cat_copies_to_tree_keeps_the_measure_outs_of_cat_to_epr():
+    for n in (2, 3, 4, 5):
+        for t in all_spanning_trees(n):
+            moves = tuple(m for a, b in t.edges for m in cat_to_epr(n, a, b).moves)
+            assert cat_copies_to_tree(t) == make_trace(copies(cat_state(n), n - 1), moves)
+
+
+def test_cat_copies_to_tree_on_other_labels():
+    t = Hypergraph((2, 3, 4), ((2, 3), (3, 4)))
+    trace = cat_copies_to_tree(t)
+    assert trace.start == copies(Hypergraph((2, 3, 4), ((2, 3, 4),)), 2)
+    assert replay_trace(trace) == trace.end == t
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(-30, 500), min_size=2, max_size=8), st.integers(0, 10 ** 6))
+def test_cat_copies_to_tree_on_relabeled_trees(labels, seed):
+    labels = sorted(labels)
+    t = random_spanning_tree(len(labels), seed)
+    to = dict(zip(t.agents, labels))
+    relabeled = Hypergraph(tuple(labels), tuple((to[a], to[b]) for a, b in t.edges))
+    trace = cat_copies_to_tree(relabeled)
+    assert trace.start == copies(Hypergraph(tuple(labels), (tuple(labels),)), len(labels) - 1)
+    assert replay_trace(trace) == relabeled
+    assert len(trace.moves) == (len(labels) - 1) * (len(labels) - 2)
+
+
 def test_trees_copies_identity_needs_one_copy():
     t = path_tree(4)
     trace = trees_copies_to_tree(t, t)
