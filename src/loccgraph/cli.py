@@ -2,9 +2,10 @@
 
 Subcommands: check, verify-theorems, distance, protocol, replay, enumerate,
 export-dot.  Exit codes: 0 definite result, 1 a failed theorem sweep, 2 an
-input error (malformed input, an unmet precondition or an exceeded bound),
-3 Unknown, 4 internal inconsistency (a violated invariant, such as a
-witness and a trace for the same direction, which must never happen).
+input error (malformed input, an unmet precondition, an exceeded bound or
+an input too large for the available memory), 3 Unknown, 4 internal
+inconsistency (a violated invariant, such as a witness and a trace for the
+same direction, which must never happen).
 """
 
 from __future__ import annotations
@@ -83,14 +84,16 @@ def witness_from_json(data: dict, agents) -> BlockingWitness:
                            tuple(data["direction"]))
 
 
-MOVE_KINDS = {cls.kind: cls for cls in (Discard, MeasureOut, Swap, CatExpand)}
+MOVE_FIELDS = {cls: tuple(f.name for f in fields(cls))
+               for cls in (Discard, MeasureOut, Swap, CatExpand)}
+MOVE_KINDS = {cls.kind: cls for cls in MOVE_FIELDS}
 
 
 def move_to_json(m: LoccMove) -> dict:
     out: dict = {"kind": m.kind}
-    for f in fields(m):
-        value = getattr(m, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
+    for name in MOVE_FIELDS[type(m)]:
+        value = getattr(m, name)
+        out[name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -99,7 +102,7 @@ def move_from_json(data: dict) -> LoccMove:
     cls = MOVE_KINDS.get(kind)
     if cls is None:
         raise InputError(f"unknown move kind {kind!r}")
-    values = {f.name: data[f.name] for f in fields(cls)}
+    values = {name: data[name] for name in MOVE_FIELDS[cls]}
     # every field is an edge except MeasureOut's agent
     for name, value in values.items():
         if not all(type(m) is int for m in ([value] if name == "agent" else value)):
@@ -138,7 +141,7 @@ def _field_to_json(value):
     the rest is JSON already."""
     if isinstance(value, Hypergraph):
         return state_to_json(value)
-    if isinstance(value, tuple(MOVE_KINDS.values())):
+    if isinstance(value, tuple(MOVE_FIELDS)):
         return move_to_json(value)
     if isinstance(value, Bicoloring):
         return value.bits()
@@ -464,6 +467,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (LoccError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory: the input is too large for the memory "
+              "available to this process", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ Everything here is an immutable value; all operations are pure functions.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 
@@ -66,7 +66,7 @@ class Hypergraph:
     @property
     def size_total(self) -> int:
         """Sum of hyperedge sizes; strictly decreases under every LOCC move."""
-        return sum(len(e) for e in self.edges)
+        return sum(map(len, self.edges))
 
     def multiplicity(self, edge) -> int:
         e = tuple(sorted(edge))
@@ -79,21 +79,32 @@ class Hypergraph:
     def replace(self, remove=(), add=()) -> "Hypergraph":
         """New hypergraph with one instance of each `remove` edge swapped
         for the `add` edges.  Raises IllegalMove if an instance is absent.
-        Only the `add` edges are validated; the result skips `__post_init__`."""
+        Only the `add` edges are validated; the result is built by
+        `_trusted`."""
         pool = list(self.edges)
         for edge in remove:
             e = tuple(sorted(edge))
             try:
-                pool.remove(e)
-            except ValueError:
-                raise IllegalMove(f"hyperedge {e} is not in the state") from None
+                i = bisect_left(pool, e)
+            except TypeError:  # labels that do not compare with the state's
+                i = len(pool)
+            if i == len(pool) or pool[i] != e:
+                raise IllegalMove(f"hyperedge {e} is not in the state")
+            del pool[i]
         known = set(self.agents)
         for edge in add:
             insort(pool, self._canonical(edge, known))
-        h = object.__new__(Hypergraph)
-        object.__setattr__(h, "agents", self.agents)
-        object.__setattr__(h, "edges", tuple(pool))
-        return h
+        return _trusted(self.agents, tuple(pool))
+
+
+def _trusted(agents: tuple[int, ...], edges: tuple[Edge, ...]) -> Hypergraph:
+    """A Hypergraph from parts already in canonical form (sorted agents,
+    sorted edges of known agents, sorted edge tuple), built without
+    `__post_init__`.  Callers vouch for the form."""
+    h = object.__new__(Hypergraph)
+    object.__setattr__(h, "agents", agents)
+    object.__setattr__(h, "edges", edges)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +136,11 @@ def star_tree(n: int, center: int = 1) -> Hypergraph:
 
 
 def copies(h: Hypergraph, k: int) -> Hypergraph:
-    """k copies of every shared state of h (k >= 1)."""
+    """k copies of every shared state of h (k >= 1).  Each canonical edge
+    repeated k times in place keeps the edge tuple sorted."""
     if k < 1:
         raise InputError("need at least one copy")
-    return Hypergraph(h.agents, h.edges * k)
+    return _trusted(h.agents, tuple(e for e in h.edges for _ in range(k)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ computing, Knuth, TAOCP 4A, section 7.1.3): bit m of an integer stands for
 coloring m of `iter_bicolorings`, so one bitwise operation treats every
 coloring at once.  A scan is two steps: `_cut_levels` builds each state's
 level sets (the colorings that cut it v times), and `_first_witness` folds
-a source's and a target's levels into the first witness.  A state's levels
-depend on nothing else, so the tree-pair sweep builds them once per tree
-and folds every pair from them.  Every witness the fold emits has both
+a source's and a target's levels into the first witness (`_min_copies`
+folds them into the copy lower bound).  A state's levels depend on nothing
+else, so the tree-pair and CAT-copy sweeps build them once per tree and
+fold every pair from them.  Every witness the fold emits has both
 cuts recomputed by the per-coloring `bcm_cut`.
 """
 
@@ -207,7 +208,12 @@ def min_copies_lower_bound(source: Hypergraph, target: Hypergraph, *,
     if source.agents != target.agents:
         raise InputError("source and target must share one agent set")
     _check_bound(source.agents, color_bound)
-    source_levels, target_levels = _cut_levels(source.agents, source, target)
+    return _min_copies(*_cut_levels(source.agents, source, target))
+
+
+def _min_copies(source_levels: list[int], target_levels: list[int]) -> int | float:
+    """`min_copies_lower_bound` folded from both level lists of
+    `_cut_levels` over the common agents."""
     if source_levels[0] & ~target_levels[0]:
         return math.inf
     best: int = 0

@@ -130,13 +130,16 @@ class ProtocolTrace:
 
 def make_trace(start: Hypergraph, moves) -> ProtocolTrace:
     """Build a trace by replaying the moves, checking every precondition
-    and the strict decrease of the size potential."""
-    state = start
+    and the strict decrease of the size potential.  Each state's size is
+    summed once and carried to the next move."""
+    moves = tuple(moves)
+    state, size = start, start.size_total
     for move in moves:
-        nxt = apply_move(state, move)
-        require(nxt.size_total < state.size_total, "every move shrinks the state")
-        state = nxt
-    return ProtocolTrace(start=start, moves=tuple(moves), end=state)
+        state = apply_move(state, move)
+        shrunk = state.size_total
+        require(shrunk < size, "every move shrinks the state")
+        size = shrunk
+    return ProtocolTrace(start=start, moves=moves, end=state)
 
 
 def replay_trace(trace: ProtocolTrace) -> Hypergraph:

@@ -21,9 +21,9 @@ from .merging import (
     Bicoloring,
     _cut_levels,
     _first_witness,
+    _min_copies,
     bcm_cut,
     find_blocking_witness,
-    min_copies_lower_bound,
 )
 from .protocols import apply_move, cat_copies_to_tree, legal_moves, replay_trace
 from .witnesses import (
@@ -104,9 +104,12 @@ def tree_count(n_max: int) -> dict:
 def cat_copy_bound(n_max: int) -> dict:
     sweep = Sweep("cat-copy-bound")
     for n in range(3, n_max + 1):
-        for t in all_spanning_trees(n):
+        # the CAT's cut levels are built once, for all the trees
+        trees = list(all_spanning_trees(n))
+        cat_levels, *levels = _cut_levels(trees[0].agents, cat_state(n), *trees)
+        for t, t_levels in zip(trees, levels):
             with sweep.case(n=n, tree=t):
-                require(min_copies_lower_bound(cat_state(n), t) == n - 1,
+                require(_min_copies(cat_levels, t_levels) == n - 1,
                         "the copy lower bound is n - 1")
                 require(cat_copies_to_tree(t).end == t, "n - 1 CAT copies make the tree")
     return sweep.report()

@@ -174,7 +174,8 @@ def check_order_chain(n: int) -> OrderChain:
 
 
 def witness_cat_copies_vs_tree(n: int, t: Hypergraph) -> BlockingWitness:
-    """n-2 copies of the n-CAT cannot produce a spanning tree.
+    """n-2 copies of the n-CAT over the tree's agents cannot produce the
+    spanning tree.
 
     The proper 2-coloring of the tree cuts all n-1 tree edges but each CAT
     copy only once: cuts (n-2, n-1).
@@ -185,7 +186,7 @@ def witness_cat_copies_vs_tree(n: int, t: Hypergraph) -> BlockingWitness:
         raise InputError(f"tree spans {t.n} agents, not {n}")
     if n < 3:
         raise InputError("need at least three agents")
-    source = copies(cat_state(n), n - 2)
+    source = copies(Hypergraph(t.agents, (t.agents,)), n - 2)
     coloring = Bicoloring(t.agents, _proper_two_coloring(t))
     witness = make_witness(source, t, coloring, direction=("cat-copies", "tree"))
     require((witness.source_cut, witness.target_cut) == (n - 2, n - 1),

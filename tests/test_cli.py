@@ -22,6 +22,7 @@ from loccgraph.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_UNKNOWN,
+    MOVE_FIELDS,
     build_parser,
     main,
     move_from_json,
@@ -567,6 +568,66 @@ def test_move_codec_round_trips_in_key_order(move, keys):
     assert move_from_json(json.loads(json.dumps(data))) == move
 
 
+def test_move_field_table_lists_each_move_class_fields():
+    import dataclasses
+
+    assert list(MOVE_FIELDS) == [Discard, MeasureOut, Swap, CatExpand]
+    for cls, names in MOVE_FIELDS.items():
+        assert names == tuple(f.name for f in dataclasses.fields(cls))
+
+
 def test_move_codec_rejects_unknown_kind():
     with pytest.raises(InputError, match="unknown move kind 'teleport'"):
         move_from_json({"kind": "teleport", "edge": [1, 2]})
+
+
+# The child sets an address-space limit on itself only, so that an input
+# too large for memory fails fast; never run these inputs without it.
+_MEMORY_LIMITED = (
+    "import resource, sys\n"
+    "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+    "limit = 400 << 20 if hard == resource.RLIM_INFINITY else min(400 << 20, hard)\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+    "import loccgraph.cli as cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def _run_memory_limited(*argv):
+    import os
+    import subprocess
+    import sys
+
+    import loccgraph
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loccgraph.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", _MEMORY_LIMITED, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "{f}", "{f}"],
+    ["distance", "{f}", "{f}"],
+    ["protocol", "{f}", "{f}"],
+    ["export-dot", "{f}"],
+], ids=lambda c: c[0])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, command):
+    # 4e9 agents: the agent tuple alone would take about 32 GB
+    path = write_state(tmp_path, "huge.txt", "agents: 4000000000\ncat: 1 2\n")
+    proc = _run_memory_limited(*(arg.format(f=path) for arg in command))
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_cut_kernel_out_of_memory_exits_2_with_one_line(tmp_path):
+    # path_29's scan needs 28 columns of 2^28 bits, far past the limit
+    path = write_state(tmp_path, "path29.txt",
+                       "agents: 29\n" + "".join(f"cat: {i} {i + 1}\n" for i in range(1, 29)))
+    proc = _run_memory_limited("check", path, path, "--color-bound", "30")
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory")
+    assert proc.stderr.count("\n") == 1

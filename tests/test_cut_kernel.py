@@ -32,8 +32,10 @@ from loccgraph.merging import (
     DEFAULT_COLOR_BOUND,
     BlockingWitness,
     _cut_levels,
+    _min_copies,
     iter_bicolorings,
 )
+from loccgraph.enumeration import all_spanning_trees
 
 
 def oracle_witness(source, target, *, color_bound=DEFAULT_COLOR_BOUND,
@@ -136,6 +138,38 @@ def test_min_copies_covers_infinity_and_zero():
     for source, target, expected in cases:
         assert min_copies_lower_bound(source, target) == expected
         assert oracle_min_copies(source, target) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_pairs())
+def test_min_copies_fold_matches_the_bound(pair):
+    source, target = pair
+    source_levels, target_levels = _cut_levels(source.agents, source, target)
+    for a, b, a_levels, b_levels in ((source, target, source_levels, target_levels),
+                                     (target, source, target_levels, source_levels)):
+        got, expected = _min_copies(a_levels, b_levels), min_copies_lower_bound(a, b)
+        assert got == expected and type(got) is type(expected)
+
+
+def test_min_copies_fold_covers_infinity_and_zero():
+    four, three = (1, 2, 3, 4), (1, 2, 3)
+    cases = [
+        (Hypergraph(four, ((1, 2),)), Hypergraph(four, ((3, 4),)), math.inf),
+        (Hypergraph(three, ((1, 2),)), Hypergraph(three), 0),
+    ]
+    for source, target, expected in cases:
+        assert _min_copies(*_cut_levels(source.agents, source, target)) == expected
+        assert min_copies_lower_bound(source, target) == expected
+
+
+def test_min_copies_fold_over_shared_cat_levels():
+    # the CAT-copy sweep's shape: one level build for the CAT and every tree
+    for n in (2, 3, 4, 5):
+        trees = list(all_spanning_trees(n))
+        cat_levels, *levels = _cut_levels(trees[0].agents, cat_state(n), *trees)
+        for t, t_levels in zip(trees, levels):
+            assert _min_copies(cat_levels, t_levels) == min_copies_lower_bound(cat_state(n), t)
+            assert _min_copies(t_levels, cat_levels) == min_copies_lower_bound(t, cat_state(n))
 
 
 def _raised(fn, *args, **kwargs):

@@ -4,7 +4,7 @@ Every failure the package raises is an InputError, a BoundExceeded, an
 IllegalMove, or an AssertionError from `require` (an internal
 inconsistency, which must survive `python -O`, so no `assert` statement
 may carry it).  Only `hypergraph.py` may build an object with
-`object.__new__`, the trusted path that skips validation.
+`object.__new__`, in its one trusted constructor that skips validation.
 """
 
 import ast
@@ -48,12 +48,13 @@ def _is_object_new(node: ast.AST) -> bool:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_trusted_construction_stays_in_hypergraph(path):
-    # Hypergraph.replace builds its result with object.__new__, skipping
-    # validation; anywhere else that would let unchecked states in
+    # one trusted constructor in hypergraph.py builds with object.__new__,
+    # skipping validation, for `replace` and `copies`; anywhere else that
+    # would let unchecked states in
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if _is_object_new(node)]
     if path.name == "hypergraph.py":
-        assert lines, "Hypergraph.replace no longer uses object.__new__"
+        assert len(lines) == 1, "hypergraph.py needs exactly one trusted constructor"
     else:
         assert lines == [], f"{path.name}: object.__new__ outside hypergraph.py"
 

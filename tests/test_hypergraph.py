@@ -1,10 +1,12 @@
 """Data model and structural predicates."""
 
+import contextlib
+import io
 import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loccgraph import (
     Hypergraph,
@@ -18,6 +20,7 @@ from loccgraph import (
     star_tree,
     uniformity,
 )
+from loccgraph.cli import main
 from loccgraph.enumeration import random_r_uniform_hypertree
 from loccgraph.errors import IllegalMove, InputError
 
@@ -222,3 +225,62 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(InputError, match=r"^line 2: member outside 1\.\.2") as exc:
         parse_hypergraph("agents: 2\ncat: 1 3\n")
     assert exc.value.line == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the text format
+# ---------------------------------------------------------------------------
+
+# Junk holds no decimal digits, so the only agent counts are the header's,
+# which stay at most 50; lone surrogates cannot be written to a file.
+_junk = st.text(st.characters(exclude_categories=("Cs", "Nd")), max_size=10)
+_member = st.one_of(st.integers(-2, 52).map(str), _junk)
+_line = st.one_of(
+    st.integers(-2, 50).map(lambda n: f"agents: {n}"),
+    _junk.map(lambda body: "agents:" + body),
+    st.lists(_member, max_size=6).map(lambda ms: "cat: " + " ".join(ms)),
+    st.lists(st.integers(1, 8).map(str), min_size=2, max_size=4, unique=True)
+    .map(lambda ms: "cat: " + " ".join(ms)),
+    _junk,
+)
+_valid = st.integers(2, 8).flatmap(lambda n: st.lists(
+    st.lists(st.integers(1, n).map(str), min_size=2, max_size=n, unique=True)
+    .map(lambda ms: "cat: " + " ".join(ms)), max_size=5)
+    .map(lambda lines: [f"agents: {n}", *lines]))
+texts = st.tuples(st.one_of(st.lists(_line, max_size=8), _valid),
+                  st.sampled_from(["\n", "\r\n", "\r"]),
+                  st.sampled_from(["", "  ", "\t"])).map(
+    lambda parts: parts[1].join(parts[2] + line for line in parts[0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts)
+def test_parse_returns_a_state_or_raises_input_error(text):
+    try:
+        h = parse_hypergraph(text)
+    except InputError:
+        return
+    assert isinstance(h, Hypergraph) and h.agents == tuple(range(1, h.n + 1))
+    assert parse_hypergraph(format_hypergraph(h)) == h
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts)
+def test_export_dot_of_any_text_prints_it_or_one_error_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "state.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        parse_hypergraph(path.read_text(encoding="utf-8"))
+        parsed = True
+    except InputError:
+        parsed = False
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["export-dot", str(path)])
+    if parsed:
+        assert (code, err.getvalue()) == (0, "")
+        assert out.getvalue().startswith("graph state {\n")
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

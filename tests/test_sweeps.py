@@ -70,3 +70,17 @@ def test_failure_fields_are_encoded_in_the_json_report(monkeypatch, capsys):
     assert len(failure["coloring"]) == state.n and set(failure["coloring"]) <= {"0", "1"}
     assert failure["error"] == "refused"
     assert all(not s["failures"] for name, s in report.items() if name != "move-soundness")
+
+
+def test_cat_copy_bound_builds_the_levels_once_per_n(monkeypatch):
+    calls = []
+    real = sweeps._cut_levels
+
+    def counted(agents, *hypergraphs):
+        calls.append(len(hypergraphs))
+        return real(agents, *hypergraphs)
+
+    monkeypatch.setattr(sweeps, "_cut_levels", counted)
+    report = sweeps.cat_copy_bound(5)
+    assert report == {"name": "cat-copy-bound", "checked": 3 + 16 + 125, "failures": []}
+    assert calls == [1 + 3, 1 + 16, 1 + 125]

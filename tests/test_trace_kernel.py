@@ -1,0 +1,227 @@
+"""Protocol traces against the per-move code they replaced.
+
+The oracles below are the trace kernel as it was before each move cost a
+few C-level operations: `make_trace` summed every state's edge sizes in a
+Python generator twice per move, `Hypergraph.replace` found each removed
+edge with `list.remove`, and `copies` re-validated and re-sorted all k·|E|
+edges through the public constructor.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from bisect import insort
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import loccgraph
+from loccgraph import (
+    Hypergraph,
+    MeasureOut,
+    ProtocolTrace,
+    Swap,
+    apply_move,
+    copies,
+    legal_moves,
+    make_trace,
+    path_tree,
+    star_tree,
+    trees_copies_to_tree,
+)
+from loccgraph.errors import IllegalMove, InputError, LoccError
+
+
+def oracle_size_total(h):
+    return sum(len(e) for e in h.edges)
+
+
+def oracle_replace(self, remove=(), add=()):
+    pool = list(self.edges)
+    for edge in remove:
+        e = tuple(sorted(edge))
+        try:
+            pool.remove(e)
+        except ValueError:
+            raise IllegalMove(f"hyperedge {e} is not in the state") from None
+    known = set(self.agents)
+    for edge in add:
+        insort(pool, self._canonical(edge, known))
+    h = object.__new__(Hypergraph)
+    object.__setattr__(h, "agents", self.agents)
+    object.__setattr__(h, "edges", tuple(pool))
+    return h
+
+
+def oracle_copies(h, k):
+    if k < 1:
+        raise InputError("need at least one copy")
+    return Hypergraph(h.agents, h.edges * k)
+
+
+def oracle_make_trace(start, moves):
+    """The old trace builder, with every move applied through the old
+    `replace`."""
+    with mock.patch.object(Hypergraph, "replace", oracle_replace):
+        state = start
+        for move in moves:
+            nxt = apply_move(state, move)
+            if not oracle_size_total(nxt) < oracle_size_total(state):
+                raise AssertionError("every move shrinks the state")
+            state = nxt
+    return ProtocolTrace(start=start, moves=tuple(moves), end=state)
+
+
+def _outcome(fn, *args):
+    """The value of a call, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (LoccError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_value(h):
+    """`h` is the value the validated constructor builds from its parts."""
+    built = Hypergraph(h.agents, h.edges)
+    assert type(h) is Hypergraph
+    assert (h.agents, h.edges) == (built.agents, built.edges)
+    assert h == built and hash(h) == hash(built)
+    assert h.size_total == sum(len(e) for e in h.edges)
+
+
+@st.composite
+def states(draw, max_n=7):
+    """A state over 1..max_n arbitrary labels whose hyperedges, drawn from a
+    small pool, repeat often."""
+    agents = tuple(sorted(draw(st.sets(st.integers(-5, 40), min_size=2, max_size=max_n))))
+    edge = st.lists(st.sampled_from(agents), min_size=2, max_size=min(len(agents), 5),
+                    unique=True)
+    pool = draw(st.lists(edge, min_size=1, max_size=5))
+    return Hypergraph(agents, tuple(draw(st.lists(st.sampled_from(pool), max_size=12))))
+
+
+def _walk(state, rng, length):
+    """Up to `length` legal moves, each chosen at random in the state it
+    meets."""
+    moves = []
+    for _ in range(length):
+        options = legal_moves(state)
+        if not options:
+            break
+        moves.append(rng.choice(options))
+        state = apply_move(state, moves[-1])
+    return moves
+
+
+# ---------------------------------------------------------------------------
+# traces
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(states(), st.integers(0, 10 ** 6), st.integers(0, 12))
+def test_traces_match_the_oracle(start, seed, length):
+    moves = _walk(start, random.Random(seed), length)
+    got, expected = make_trace(start, moves), oracle_make_trace(start, moves)
+    assert got == expected
+    _same_value(got.end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(states(), states(), st.integers(0, 10 ** 6), st.integers(0, 8))
+def test_a_trace_broken_by_a_foreign_move_fails_like_the_oracle(start, other, seed, length):
+    # legal moves of another state are often illegal here: absent operands,
+    # a member outside the hyperedge, labels of the wrong agents
+    rng = random.Random(seed)
+    moves = _walk(start, rng, length)
+    foreign = legal_moves(other)
+    if foreign:
+        moves.insert(rng.randrange(len(moves) + 1), rng.choice(foreign))
+    assert _outcome(make_trace, start, moves) == _outcome(oracle_make_trace, start, moves)
+
+
+def test_a_generator_of_moves_is_kept_in_the_trace():
+    moves = [MeasureOut(edge=(1, 2, 3), agent=2)]
+    start = Hypergraph((1, 2, 3), ((1, 2, 3),))
+    assert make_trace(start, iter(moves)).moves == tuple(moves)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_copies_protocols_match_the_oracle(n):
+    for t1, t2 in ((path_tree(n), star_tree(n)), (star_tree(n), path_tree(n))):
+        trace = trees_copies_to_tree(t1, t2)
+        start = oracle_copies(t1, len(set(t1.edges) - set(t2.edges)) + 1)
+        assert trace == oracle_make_trace(start, trace.moves)
+
+
+def test_a_move_that_keeps_its_state_is_caught_under_optimize_flag(tmp_path):
+    # the size check compares the real states: an apply_move that changes
+    # nothing must fail it, with or without assert statements
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("agents: 3\ncat: 1 2\ncat: 1 3\n")
+    b.write_text("agents: 3\ncat: 1 3\ncat: 2 3\n")
+    script = (
+        "import sys\n"
+        "import loccgraph.protocols as protocols\n"
+        "import loccgraph.cli as cli\n"
+        "assert False, 'assert statements must be stripped under -O'\n"
+        "protocols.apply_move = lambda state, move: state\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loccgraph.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", script, "distance", str(a), str(b)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "internal inconsistency: every move shrinks the state\n"
+
+
+# ---------------------------------------------------------------------------
+# replace
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(states(), states(), st.data())
+def test_replace_matches_the_list_remove_oracle(h, other, data):
+    # removals mix present edges, repeats and edges of another state, in
+    # any member order; additions are validated like construction
+    candidates = [*h.edges, *other.edges, h.agents[:2]]
+    remove = [tuple(data.draw(st.permutations(e)))
+              for e in data.draw(st.lists(st.sampled_from(candidates), max_size=5))]
+    add = data.draw(st.lists(st.sampled_from(candidates), max_size=3))
+    got = _outcome(h.replace, remove, add)
+    assert got == _outcome(oracle_replace, h, remove, add)
+    if isinstance(got, Hypergraph):
+        _same_value(got)
+
+
+def test_replace_keeps_the_absent_edge_message_for_labels_of_another_type():
+    h = Hypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    for remove in ([(1, 2)], [("b", "c"), (1, 2)]):
+        with pytest.raises(IllegalMove) as info:
+            h.replace(remove=remove)
+        assert str(info.value) == "hyperedge (1, 2) is not in the state"
+        assert _outcome(oracle_replace, h, remove) == (IllegalMove, str(info.value))
+
+
+def test_replace_removes_one_instance_of_a_repeated_edge():
+    h = Hypergraph((1, 2, 3), ((1, 2), (1, 2), (1, 2), (2, 3)))
+    assert h.replace(remove=[(2, 1), (1, 2)]).edges == ((1, 2), (2, 3))
+    assert apply_move(h, Swap(left=(1, 2), right=(2, 3))).edges == ((1, 2), (1, 2), (1, 3))
+
+
+# ---------------------------------------------------------------------------
+# copies
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(states(), st.integers(-1, 5))
+def test_copies_match_validated_construction(h, k):
+    got = _outcome(copies, h, k)
+    assert got == _outcome(oracle_copies, h, k)
+    if isinstance(got, Hypergraph):
+        _same_value(got)
+        assert got.edges == oracle_copies(h, k).edges

@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loccgraph import (
+    Bicoloring,
     Hypergraph,
     bcm_cut,
     cat_state,
@@ -28,8 +30,10 @@ from loccgraph import (
     witness_pendant_condition,
     witness_r_uniform_hypertrees,
 )
-from loccgraph.enumeration import all_spanning_trees
+from loccgraph.enumeration import all_spanning_trees, random_spanning_tree
 from loccgraph.errors import InputError
+from loccgraph.merging import make_witness
+from loccgraph.witnesses import _proper_two_coloring
 
 
 def H(n, *edges):
@@ -167,6 +171,40 @@ def test_cat_copies_vs_star():
     assert w.coloring.a_side == {1}
     assert (w.source_cut, w.target_cut) == (2, 3)
     check_witness(w, copies(cat_state(4), 2), star_tree(4))
+
+
+def test_cat_copies_vs_tree_on_other_labels():
+    t = Hypergraph((2, 3, 4), ((2, 3), (3, 4)))
+    w = witness_cat_copies_vs_tree(3, t)
+    assert w.coloring.a_side == {3}
+    assert (w.source_cut, w.target_cut) == (1, 2)
+    check_witness(w, Hypergraph((2, 3, 4), ((2, 3, 4),)), t)
+
+
+def test_cat_copies_vs_tree_keeps_its_witnesses_on_agents_one_to_n():
+    # the witness built from n - 2 copies of cat_state(n), as before any
+    # other labels were allowed
+    for n in (3, 4, 5, 6):
+        for t in all_spanning_trees(n):
+            before = make_witness(copies(cat_state(n), n - 2), t,
+                                  Bicoloring(t.agents, _proper_two_coloring(t)),
+                                  direction=("cat-copies", "tree"))
+            assert witness_cat_copies_vs_tree(n, t) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(-30, 500), min_size=3, max_size=9), st.integers(0, 10 ** 6))
+def test_cat_copies_vs_tree_on_relabeled_trees(labels, seed):
+    labels = sorted(labels)
+    n = len(labels)
+    t = random_spanning_tree(n, seed)
+    to = dict(zip(t.agents, labels))
+    relabeled = Hypergraph(tuple(labels), tuple((to[a], to[b]) for a, b in t.edges))
+    w, plain = witness_cat_copies_vs_tree(n, relabeled), witness_cat_copies_vs_tree(n, t)
+    assert w.coloring.a_side == {to[a] for a in plain.coloring.a_side}
+    assert (w.source_cut, w.target_cut, w.direction) == (
+        plain.source_cut, plain.target_cut, plain.direction)
+    check_witness(w, copies(Hypergraph(tuple(labels), (tuple(labels),)), n - 2), relabeled)
 
 
 def test_cat_copy_bound_consistency():
