@@ -43,7 +43,6 @@ from .protocols import (
     _cut_pruner,
     make_trace,
     reachability_search,
-    replay_trace,
 )
 from .enumeration import TREE_ENUM_MAX_N, all_spanning_trees, random_r_uniform_hypertree
 from .distance import distance_report
@@ -64,8 +63,19 @@ def state_to_json(h: Hypergraph) -> dict:
     return {"agents": list(h.agents), "edges": [list(e) for e in h.edges]}
 
 
+def _require_integers(members, what: str, value) -> None:
+    """The codec's one integer rule: every agent is a JSON integer, never a
+    bool, a float or a string."""
+    if not all(type(m) is int for m in members):
+        raise InputError(f"{what} holds a non-integer agent: {value!r}")
+
+
 def state_from_json(data: dict) -> Hypergraph:
-    return Hypergraph(tuple(data["agents"]), tuple(tuple(e) for e in data["edges"]))
+    agents, edges = data["agents"], data["edges"]
+    _require_integers(agents, "state field 'agents'", agents)
+    for e in edges:
+        _require_integers(e, "state field 'edges'", e)
+    return Hypergraph(tuple(agents), tuple(map(tuple, edges)))
 
 
 def witness_to_json(w: BlockingWitness) -> dict:
@@ -105,9 +115,8 @@ def move_from_json(data: dict) -> LoccMove:
     values = {name: data[name] for name in MOVE_FIELDS[cls]}
     # every field is an edge except MeasureOut's agent
     for name, value in values.items():
-        if not all(type(m) is int for m in ([value] if name == "agent" else value)):
-            raise InputError(f"{kind} move field {name!r} holds a non-integer agent: "
-                             f"{value!r}")
+        _require_integers([value] if name == "agent" else value,
+                          f"{kind} move field {name!r}", value)
     return cls(**{name: value if name == "agent" else tuple(value)
                   for name, value in values.items()})
 
@@ -336,12 +345,12 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    text = _read_text(args.trace)
     try:
-        data = json.loads(_read_text(args.trace))
-    except (json.JSONDecodeError, RecursionError) as exc:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed JSON or an overlong integer
         raise InputError(str(exc)) from None
-    trace = trace_from_json(data)
-    replay_trace(trace)
+    trace = trace_from_json(data)  # replays the trace and compares its end state
     print(f"replay OK, end state matches ({len(trace.moves)} moves)")
     return EXIT_OK
 

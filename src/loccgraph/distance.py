@@ -53,7 +53,6 @@ def distance_report(t1: Hypergraph, t2: Hypergraph, *,
     coloring scan is limited to `color_bound` agents; soundness of the
     move calculus guarantees it never exceeds copies_upper.
     """
-    _require_trees(t1, t2)
     qd = quantum_distance(t1, t2)
     trace = trees_copies_to_tree(t1, t2)
     if qd == 0:

@@ -42,18 +42,12 @@ class Discard:
     edge: Edge
     kind = "discard"
 
-    def key(self):
-        return (self.kind, self.edge)
-
 
 @dataclass(frozen=True)
 class MeasureOut:
     edge: Edge
     agent: int
     kind = "measure_out"
-
-    def key(self):
-        return (self.kind, self.edge, (self.agent,))
 
 
 @dataclass(frozen=True)
@@ -62,18 +56,12 @@ class Swap:
     right: Edge
     kind = "swap"
 
-    def key(self):
-        return (self.kind, self.left, self.right)
-
 
 @dataclass(frozen=True)
 class CatExpand:
     edge: Edge
     pair: Edge
     kind = "cat_expand"
-
-    def key(self):
-        return (self.kind, self.edge, self.pair)
 
 
 LoccMove = Union[Discard, MeasureOut, Swap, CatExpand]
@@ -143,14 +131,13 @@ def make_trace(start: Hypergraph, moves) -> ProtocolTrace:
 
 
 def replay_trace(trace: ProtocolTrace) -> Hypergraph:
-    """Re-execute the trace; raises if any move is illegal or the recorded
-    end state does not match."""
-    state = trace.start
-    for move in trace.moves:
-        state = apply_move(state, move)
-    if state != trace.end:
+    """Re-execute the trace through `make_trace`, which checks every
+    precondition and the size potential again; raises if the recorded end
+    state does not match."""
+    end = make_trace(trace.start, trace.moves).end
+    if end != trace.end:
         raise IllegalMove("trace end state does not match replay")
-    return state
+    return end
 
 
 # ---------------------------------------------------------------------------
@@ -248,27 +235,21 @@ def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:
 # ---------------------------------------------------------------------------
 
 def legal_moves(state: Hypergraph) -> list[LoccMove]:
-    """Every legal move of the state, in canonical (lexicographic) order.
+    """Every legal move of the state, in canonical order: by kind name,
+    then field by field.  The order is generated, not sorted: the kinds
+    come in name order, each from loops over the sorted distinct edges.
 
     Moves are enumerated over distinct edge values; multiplicity only
     matters for operand availability, which value-based removal handles.
     """
     distinct = sorted(set(state.edges))
     pairs = [e for e in distinct if len(e) == 2]
-    moves: list[LoccMove] = []
-    for e in distinct:
-        moves.append(Discard(e))
-        if len(e) >= 3:
-            for v in e:
-                moves.append(MeasureOut(edge=e, agent=v))
-        for p in pairs:
-            if p != e and len(set(p) & set(e)) == 1:
-                moves.append(CatExpand(edge=e, pair=p))
-    for i, e1 in enumerate(pairs):
-        for e2 in pairs[i + 1:]:
-            if len(set(e1) & set(e2)) == 1:
-                moves.append(Swap(left=e1, right=e2))
-    moves.sort(key=lambda m: m.key())
+    moves: list[LoccMove] = [CatExpand(edge=e, pair=p) for e in distinct for p in pairs
+                             if len(set(p) & set(e)) == 1]
+    moves += map(Discard, distinct)
+    moves += [MeasureOut(edge=e, agent=v) for e in distinct if len(e) >= 3 for v in e]
+    moves += [Swap(left=e1, right=e2) for i, e1 in enumerate(pairs) for e2 in pairs[i + 1:]
+              if len(set(e1) & set(e2)) == 1]
     return moves
 
 
@@ -328,8 +309,9 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
     States are deduplicated by canonical form; successors are generated in
     canonical move order, so the returned trace is the lexicographically
     least among the shortest ones.  Returns None when the (finite) space
-    is exhausted without success; raises BoundExceeded when the search
-    was cut short by the state budget instead.
+    is exhausted without success.  Raises BoundExceeded at the first new
+    state past the state budget: no state can be added after it, so the
+    target can no longer be found.
 
     The search is evidence-first.  After the `source == target` test it
     asks whether some single-agent cut or component cut of the source is
@@ -349,32 +331,24 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
     cut_below_target = _cut_pruner(target)
     if cut_below_target(source) is not None:
         return None
-    visited = {source.edges}
-    parent: dict[tuple, tuple[Hypergraph, LoccMove]] = {}
+    # the parent map is the visited set; the source maps to None
+    parent: dict[tuple, tuple[Hypergraph, LoccMove] | None] = {source.edges: None}
     queue = deque([source])
-    truncated = False
     while queue:
         state = queue.popleft()
         for move in legal_moves(state):
             nxt = apply_move(state, move)
-            if nxt.edges in visited:
+            if nxt.edges in parent:
                 continue
-            if len(visited) >= budget:
-                truncated = True
-                continue
-            visited.add(nxt.edges)
+            if len(parent) >= budget:
+                raise BoundExceeded(f"state budget {budget} hit before exhausting the space")
             parent[nxt.edges] = (state, move)
             if nxt == target:
                 moves = []
-                cur = nxt
-                while cur != source:
-                    prev, mv = parent[cur.edges]
-                    moves.append(mv)
-                    cur = prev
-                moves.reverse()
-                return make_trace(source, moves)
+                while (step := parent[nxt.edges]) is not None:
+                    nxt, move = step
+                    moves.append(move)
+                return make_trace(source, moves[::-1])
             if cut_below_target(nxt) is None:
                 queue.append(nxt)
-    if truncated:
-        raise BoundExceeded(f"state budget {budget} hit before exhausting the space")
     return None

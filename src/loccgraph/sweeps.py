@@ -117,11 +117,8 @@ def cat_copy_bound(n_max: int) -> dict:
 
 def r_uniform_hypertree_incomparability(r_list, seed: int, sample_count: int) -> dict:
     sweep = Sweep("r-uniform-hypertree-incomparability")
-    sizes = {3: 7, 4: 7, 5: 9}
     for r in r_list:
-        n = sizes.get(r, r * 2 + 1)
-        if (n - 1) % (r - 1) != 0:
-            n = r * 2 - 1
+        n = 7 if r == 3 else 2 * r - 1  # an r-uniform hypertree needs r - 1 | n - 1
         produced = 0
         attempt = 0
         while produced < sample_count:

@@ -14,6 +14,7 @@ from loccgraph import (
     Hypergraph,
     MeasureOut,
     Swap,
+    apply_move,
     bcm_cut,
     format_hypergraph,
     parse_hypergraph,
@@ -287,6 +288,21 @@ def test_verdict_guard_survives_optimize_flag(tmp_path):
                  "hyperedge (2, 3) is not in the state", id="absent-operand"),
     pytest.param("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded",
                  id="nested-too-deep"),
+    pytest.param('{"start": {"agents": [1, ' + "1" * 5000 + '], "edges": []},'
+                 ' "moves": [], "end": {"agents": [1, 2], "edges": []}}',
+                 "Exceeds the limit (4300 digits)", id="integer-too-long"),
+    pytest.param('{"start": {"agents": [NaN, 2], "edges": []}, "moves": [],'
+                 ' "end": {"agents": [NaN, 2], "edges": []}}',
+                 "field 'agents' holds a non-integer agent: [nan, 2]", id="nan-agent"),
+    pytest.param('{"start": {"agents": ["1", "2"], "edges": [["1", "2"]]}, "moves": [],'
+                 ' "end": {"agents": ["1", "2"], "edges": [["1", "2"]]}}',
+                 "field 'agents' holds a non-integer agent: ['1', '2']", id="string-agents"),
+    pytest.param('{"start": {"agents": [1, 2], "edges": [[1.0, 2]]}, "moves": [],'
+                 ' "end": {"agents": [1, 2], "edges": [[1.0, 2]]}}',
+                 "field 'edges' holds a non-integer agent: [1.0, 2]", id="float-member"),
+    pytest.param('{"start": {"agents": [1, 2], "edges": [[true, 2]]}, "moves": [],'
+                 ' "end": {"agents": [1, 2], "edges": [[1, 2]]}}',
+                 "field 'edges' holds a non-integer agent: [True, 2]", id="bool-member"),
 ])
 def test_replay_rejects_malformed_trace(tmp_path, capsys, payload, field):
     trace_file = tmp_path / "trace.json"
@@ -295,6 +311,26 @@ def test_replay_rejects_malformed_trace(tmp_path, capsys, payload, field):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert len(err.splitlines()) == 1
+
+
+def test_replay_applies_each_move_once(tmp_path, monkeypatch, capsys):
+    import loccgraph.protocols as protocols
+    from loccgraph import cat_copies_to_tree, path_tree
+    from loccgraph.cli import trace_to_json
+
+    trace = cat_copies_to_tree(path_tree(4))
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps(trace_to_json(trace)))
+    applied = []
+
+    def counting_apply_move(state, move):
+        applied.append(move)
+        return apply_move(state, move)
+
+    monkeypatch.setattr(protocols, "apply_move", counting_apply_move)
+    assert main(["replay", str(trace_file)]) == EXIT_OK
+    assert capsys.readouterr().out == "replay OK, end state matches (6 moves)\n"
+    assert applied == list(trace.moves)
 
 
 def test_check_past_color_bound_uses_the_search_cuts(tmp_path, capsys):

@@ -271,3 +271,31 @@ def test_no_move_increases_any_cut(seed):
 def test_make_trace_validates_each_step():
     with pytest.raises(IllegalMove):
         make_trace(H(3, (1, 2)), [Discard((1, 3))])
+
+
+def test_replay_checks_the_size_potential_under_O():
+    # a stand-in apply_move that returns its state unchanged: the end state
+    # still matches, so only the size potential can catch it
+    import os
+    import subprocess
+    import sys
+
+    import loccgraph
+
+    script = (
+        "import loccgraph.protocols as protocols\n"
+        "from loccgraph import Discard, Hypergraph, ProtocolTrace\n"
+        "assert False, 'assert statements must be stripped under -O'\n"
+        "protocols.apply_move = lambda state, move: state\n"
+        "h = Hypergraph((1, 2), ((1, 2),))\n"
+        "try:\n"
+        "    protocols.replay_trace(ProtocolTrace(h, (Discard((1, 2)),), h))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loccgraph.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "every move shrinks the state\n"

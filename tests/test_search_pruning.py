@@ -1,9 +1,10 @@
-"""Cut-pruned reachability search against the unpruned breadth-first oracle.
+"""Cut-pruned reachability search against the unpruned breadth-first oracle,
+and the generated move order against the build-then-sort oracle.
 
-The oracle is the search as it was before pruning: it expands every state
-it discovers.  The pruned search must return the same trace, or None where
-the oracle returns None, and it must never run out of budget where the
-oracle finished.
+The search oracle is the search as it was before pruning: it expands every
+state it discovers.  The pruned search must return the same trace, or None
+where the oracle returns None, and it must never run out of budget where
+the oracle finished.
 """
 
 import itertools
@@ -13,8 +14,13 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loccgraph.protocols as protocols
 from loccgraph import (
+    CatExpand,
+    Discard,
     Hypergraph,
+    MeasureOut,
+    Swap,
     apply_move,
     cat_state,
     copies,
@@ -30,6 +36,88 @@ from loccgraph.errors import BoundExceeded
 
 def H(n, *edges):
     return Hypergraph(tuple(range(1, n + 1)), tuple(edges))
+
+
+# the canonical move order as a sort key: kind name, then field by field
+ORACLE_KEYS = {
+    Discard: lambda m: (m.kind, m.edge),
+    MeasureOut: lambda m: (m.kind, m.edge, (m.agent,)),
+    Swap: lambda m: (m.kind, m.left, m.right),
+    CatExpand: lambda m: (m.kind, m.edge, m.pair),
+}
+
+
+def oracle_legal_moves(state):
+    """Every legal move, built edge by edge and then sorted into canonical
+    order."""
+    distinct = sorted(set(state.edges))
+    pairs = [e for e in distinct if len(e) == 2]
+    moves = []
+    for e in distinct:
+        moves.append(Discard(e))
+        if len(e) >= 3:
+            for v in e:
+                moves.append(MeasureOut(edge=e, agent=v))
+        for p in pairs:
+            if p != e and len(set(p) & set(e)) == 1:
+                moves.append(CatExpand(edge=e, pair=p))
+    for i, e1 in enumerate(pairs):
+        for e2 in pairs[i + 1:]:
+            if len(set(e1) & set(e2)) == 1:
+                moves.append(Swap(left=e1, right=e2))
+    moves.sort(key=lambda m: ORACLE_KEYS[type(m)](m))
+    return moves
+
+
+@st.composite
+def move_states(draw):
+    """States on up to 9 agents with hyperedges of size 2 to 5, repeated
+    hyperedges, isolated agents and edgeless states."""
+    n = draw(st.integers(2, 9))
+    agents = tuple(range(1, n + 1))
+    edge = st.lists(st.sampled_from(agents), min_size=2, max_size=min(5, n),
+                    unique=True)
+    edges = draw(st.lists(edge, max_size=8))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    return Hypergraph(agents, tuple(map(tuple, edges)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(move_states())
+def test_legal_moves_are_generated_in_canonical_order(state):
+    assert legal_moves(state) == oracle_legal_moves(state)
+
+
+@pytest.mark.parametrize("source,target", [
+    (path_tree(5), cat_state(5)),
+    (copies(path_tree(5), 2), H(5, (1, 5))),
+])
+@pytest.mark.parametrize("budget", [1, 2, 5, 20])
+def test_search_stops_at_the_first_state_past_the_budget(monkeypatch, source, target,
+                                                         budget):
+    seen = {source.edges}
+    past_budget = []
+
+    def marking_apply_move(state, move):
+        nxt = apply_move(state, move)
+        if nxt.edges not in seen:
+            if len(seen) >= budget:
+                past_budget.append(nxt)
+            else:
+                seen.add(nxt.edges)
+        return nxt
+
+    def checked_legal_moves(state):
+        assert not past_budget, "a state was expanded after the budget was hit"
+        return legal_moves(state)
+
+    monkeypatch.setattr(protocols, "apply_move", marking_apply_move)
+    monkeypatch.setattr(protocols, "legal_moves", checked_legal_moves)
+    with pytest.raises(BoundExceeded,
+                       match=f"^state budget {budget} hit before exhausting the space$"):
+        reachability_search(source, target, budget=budget)
+    assert len(past_budget) == 1
 
 
 def oracle_search(source, target, budget):
