@@ -36,6 +36,12 @@ def _chain(order):
     return _text(len(order), list(zip(order, order[1:])))
 
 
+def _hyperchain(order):
+    """The 3-uniform chain (o1, o2, o3), (o3, o4, o5), ... over `order`."""
+    return _text(len(order), [tuple(sorted(order[i:i + 3]))
+                              for i in range(0, len(order) - 2, 2)])
+
+
 INPUTS = {
     "ghz.txt": "agents: 3\ncat: 1 2 3\n",
     "two_epr.txt": "agents: 3\ncat: 1 3\ncat: 2 3\n",
@@ -50,6 +56,10 @@ INPUTS = {
     # 23 agents exceed the default color bound of 22
     "path23.txt": _chain(list(range(1, 24))),
     "swapped23.txt": _chain([1, 3, 2, *range(4, 24)]),
+    "hyper23.txt": _hyperchain(list(range(1, 24))),
+    "hyper_swapped23.txt": _hyperchain([1, 4, 3, 2, *range(5, 24)]),
+    "cycle23.txt": _cycle(23),
+    "cat23.txt": format_hypergraph(cat_state(23)),
     "path6.txt": format_hypergraph(path_tree(6)),
     "star6.txt": format_hypergraph(star_tree(6)),
     "mismatch.txt": "agents: 4\ncat: 1 2\n",
@@ -63,6 +73,7 @@ CHECK_PAIRS = [
     ("path5x2.txt", "star5.txt"),
     ("cycle5.txt", "cat5x2.txt"),
     ("path23.txt", "swapped23.txt"),
+    ("hyper23.txt", "hyper_swapped23.txt"),
 ]
 
 
@@ -74,6 +85,9 @@ def _invocations():
             yield ["check", source, target]
             yield ["check", "--json", source, target]
     yield ["check", "--json", "--search-budget", "3", "path5.txt", "cat5.txt"]
+    # past the color bound: a search cut one way, nothing the other way
+    for source, target in (("cycle23.txt", "cat23.txt"), ("cat23.txt", "cycle23.txt")):
+        yield ["check", "--json", "--search-budget", "50", source, target]
     yield ["protocol", "--search-budget", "3", "path5.txt", "cat5.txt"]
     yield ["protocol", "--json", "path5.txt", "cat5.txt"]
     yield ["replay", "trace.json"]
