@@ -18,20 +18,8 @@ from dataclasses import dataclass, fields
 
 from . import __version__
 from .errors import BoundExceeded, InputError, LoccError, require
-from .hypergraph import (
-    Hypergraph,
-    format_hypergraph,
-    is_entangled_hypertree,
-    parse_hypergraph,
-    uniformity,
-)
-from .merging import (
-    DEFAULT_COLOR_BOUND,
-    Bicoloring,
-    BlockingWitness,
-    find_blocking_witness,
-    make_witness,
-)
+from .hypergraph import Hypergraph, format_hypergraph, parse_hypergraph
+from .merging import DEFAULT_COLOR_BOUND, Bicoloring, BlockingWitness, find_blocking_witness
 from .protocols import (
     DEFAULT_SEARCH_BUDGET,
     CatExpand,
@@ -40,14 +28,13 @@ from .protocols import (
     MeasureOut,
     ProtocolTrace,
     Swap,
-    _cut_pruner,
     make_trace,
     reachability_search,
 )
 from .enumeration import TREE_ENUM_MAX_N, all_spanning_trees, random_r_uniform_hypertree
 from .distance import distance_report
 from .sweeps import run_sweeps
-from .witnesses import _hypertree_direction, witness_distinct_spanning_trees
+from .witnesses import structural_witness
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -78,20 +65,20 @@ def state_from_json(data: dict) -> Hypergraph:
     return Hypergraph(tuple(agents), tuple(map(tuple, edges)))
 
 
-def witness_to_json(w: BlockingWitness) -> dict:
+def witness_to_json(w: BlockingWitness, direction: tuple[str, str]) -> dict:
+    """`direction` names the witness's (source, target) in the report."""
     return {
         "coloring_bits": w.coloring.bits(),
         "a_side": sorted(w.coloring.a_side),
         "source_cut": w.source_cut,
         "target_cut": w.target_cut,
-        "direction": list(w.direction),
+        "direction": list(direction),
     }
 
 
 def witness_from_json(data: dict, agents) -> BlockingWitness:
     coloring = Bicoloring.from_bits(agents, data["coloring_bits"])
-    return BlockingWitness(coloring, data["source_cut"], data["target_cut"],
-                           tuple(data["direction"]))
+    return BlockingWitness(coloring, data["source_cut"], data["target_cut"])
 
 
 MOVE_FIELDS = {cls: tuple(f.name for f in fields(cls))
@@ -157,21 +144,26 @@ def _field_to_json(value):
     return value
 
 
-def _read_text(path: str) -> str:
+def _read(path: str) -> tuple[str, bytes]:
+    """A file's bytes, read once, and their UTF-8 text with newlines
+    translated as a text-mode read translates them."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(str(exc)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n"), data
 
 
 def _read_state(path: str) -> Hypergraph:
-    return parse_hypergraph(_read_text(path))
+    return parse_hypergraph(_read(path)[0])
 
 
-def _file_sha256(path: str) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+def _read_input(path: str) -> tuple[Hypergraph, dict]:
+    """A state and its report entry, which hashes the bytes that were parsed."""
+    text, data = _read(path)
+    return parse_hypergraph(text), {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -210,55 +202,22 @@ class ComparabilityVerdict:
 
 
 def _judge_direction(source: Hypergraph, target: Hypergraph, *,
-                     color_bound: int, search_budget: int,
-                     direction: tuple[str, str]) -> DirectionVerdict:
-    """Witness scan first (past the color bound, the cuts that prune the
-    search, then the witness of two distinct r-uniform hypertrees, which
-    for r = 2 is the tree split); only a direction without a witness is
-    searched."""
-    witness = None
+                     color_bound: int, search_budget: int) -> DirectionVerdict:
+    """Witness scan first (past the color bound, `structural_witness`);
+    only a direction without a witness is searched."""
     note = ""
     try:
-        witness = find_blocking_witness(source, target,
-                                        color_bound=color_bound,
-                                        direction=direction)
+        witness = find_blocking_witness(source, target, color_bound=color_bound)
     except BoundExceeded as exc:
         note = f"witness scan skipped: {exc}"
-        side = _cut_pruner(target)(source)
-        if side is not None:
-            witness = make_witness(source, target, Bicoloring(source.agents, side),
-                                   direction=direction)
-        elif (source != target and is_entangled_hypertree(source)
-              and is_entangled_hypertree(target) and uniformity(source) is not None
-              and uniformity(source) == uniformity(target)):
-            if uniformity(source) == 2:
-                blocked = witness_distinct_spanning_trees(source, target)[1]
-                witness = make_witness(source, target, blocked.coloring,
-                                       direction=direction)
-            else:
-                witness = _hypertree_direction(source, target, direction).witness
-    trace = None
-    if witness is None:
-        try:
-            trace = reachability_search(source, target, budget=search_budget)
-        except BoundExceeded as exc:
-            note = (note + "; " if note else "") + f"search truncated: {exc}"
+        witness = structural_witness(source, target)
     if witness is not None:
         return DirectionVerdict("impossible", witness=witness, note=note)
-    if trace is not None:
-        return DirectionVerdict("possible", trace=trace, note=note)
-    return DirectionVerdict("unknown", note=note)
-
-
-def _direction_to_json(d: DirectionVerdict) -> dict:
-    out: dict = {"verdict": d.kind}
-    if d.witness is not None:
-        out["witness"] = witness_to_json(d.witness)
-    if d.trace is not None:
-        out["trace"] = trace_to_json(d.trace)
-    if d.note:
-        out["note"] = d.note
-    return out
+    try:
+        trace = reachability_search(source, target, budget=search_budget)
+    except BoundExceeded as exc:
+        trace, note = None, (note + "; " if note else "") + f"search truncated: {exc}"
+    return DirectionVerdict("unknown" if trace is None else "possible", trace=trace, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -266,30 +225,30 @@ def _direction_to_json(d: DirectionVerdict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    source = _read_state(args.source)
-    target = _read_state(args.target)
+    (source, source_input), (target, target_input) = map(_read_input,
+                                                         (args.source, args.target))
     if source.agents != target.agents:
         raise InputError("inputs do not share one agent set")
-    forward = _judge_direction(source, target,
-                               color_bound=args.color_bound,
-                               search_budget=args.search_budget,
-                               direction=("source", "target"))
-    backward = _judge_direction(target, source,
-                                color_bound=args.color_bound,
-                                search_budget=args.search_budget,
-                                direction=("target", "source"))
+    forward = _judge_direction(source, target, color_bound=args.color_bound,
+                               search_budget=args.search_budget)
+    backward = _judge_direction(target, source, color_bound=args.color_bound,
+                                search_budget=args.search_budget)
     verdict = ComparabilityVerdict.from_directions(forward, backward)
     report = {
         "tool": "loccgraph",
         "version": __version__,
-        "inputs": {
-            "source": {"path": args.source, "sha256": _file_sha256(args.source)},
-            "target": {"path": args.target, "sha256": _file_sha256(args.target)},
-        },
-        "forward": _direction_to_json(forward),
-        "backward": _direction_to_json(backward),
-        "classification": verdict.classification,
+        "inputs": {"source": source_input, "target": target_input},
     }
+    for key, d, direction in (("forward", forward, ("source", "target")),
+                              ("backward", backward, ("target", "source"))):
+        out = report[key] = {"verdict": d.kind}
+        if d.witness is not None:
+            out["witness"] = witness_to_json(d.witness, direction)
+        if d.trace is not None:
+            out["trace"] = trace_to_json(d.trace)
+        if d.note:
+            out["note"] = d.note
+    report["classification"] = verdict.classification
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -345,7 +304,7 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    text = _read_text(args.trace)
+    text = _read(args.trace)[0]
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # malformed JSON or an overlong integer

@@ -68,10 +68,6 @@ class Hypergraph:
         """Sum of hyperedge sizes; strictly decreases under every LOCC move."""
         return sum(map(len, self.edges))
 
-    def multiplicity(self, edge) -> int:
-        e = tuple(sorted(edge))
-        return sum(1 for x in self.edges if x == e)
-
     def degree(self, agent: int) -> int:
         """Number of hyperedge instances containing the agent."""
         return sum(1 for e in self.edges if agent in e)

@@ -73,7 +73,6 @@ class BlockingWitness:
     coloring: Bicoloring
     source_cut: int
     target_cut: int
-    direction: tuple[str, str] = ("source", "target")
 
     def __post_init__(self) -> None:
         if not self.target_cut > self.source_cut:
@@ -146,8 +145,7 @@ def _cut_levels(agents: tuple[int, ...], *hypergraphs: Hypergraph) -> list[list[
 
 
 def make_witness(source: Hypergraph, target: Hypergraph,
-                 coloring: Bicoloring,
-                 direction: tuple[str, str] = ("source", "target")) -> BlockingWitness:
+                 coloring: Bicoloring) -> BlockingWitness:
     """Build a witness by recomputing both cuts; raises if it is not one."""
     if source.agents != target.agents:
         raise InputError("source and target share no common agent set")
@@ -155,13 +153,11 @@ def make_witness(source: Hypergraph, target: Hypergraph,
         coloring=coloring,
         source_cut=bcm_cut(source, coloring),
         target_cut=bcm_cut(target, coloring),
-        direction=direction,
     )
 
 
 def find_blocking_witness(source: Hypergraph, target: Hypergraph, *,
                           color_bound: int = DEFAULT_COLOR_BOUND,
-                          direction: tuple[str, str] = ("source", "target"),
                           ) -> BlockingWitness | None:
     """Exhaustive scan for a coloring with target cut > source cut.
 
@@ -173,13 +169,11 @@ def find_blocking_witness(source: Hypergraph, target: Hypergraph, *,
     if source.agents != target.agents:
         raise InputError("source and target must share one agent set")
     _check_bound(source.agents, color_bound)
-    return _first_witness(source, target, *_cut_levels(source.agents, source, target),
-                          direction=direction)
+    return _first_witness(source, target, *_cut_levels(source.agents, source, target))
 
 
 def _first_witness(source: Hypergraph, target: Hypergraph,
-                   source_levels: list[int], target_levels: list[int], *,
-                   direction: tuple[str, str] = ("source", "target"),
+                   source_levels: list[int], target_levels: list[int],
                    ) -> BlockingWitness | None:
     """The first coloring, in `iter_bicolorings` order, whose target level
     lies above its source level, given both level lists from `_cut_levels`
@@ -192,7 +186,7 @@ def _first_witness(source: Hypergraph, target: Hypergraph,
     if not found:
         return None
     first = (found & -found).bit_length() - 1
-    return make_witness(source, target, _coloring(source.agents, first), direction)
+    return make_witness(source, target, _coloring(source.agents, first))
 
 
 def min_copies_lower_bound(source: Hypergraph, target: Hypergraph, *,

@@ -33,7 +33,7 @@ from .hypergraph import (
     uniformity,
 )
 from .merging import Bicoloring, BlockingWitness, find_blocking_witness, make_witness
-from .protocols import Discard, ProtocolTrace, cat_to_epr, make_trace, tree_to_cat
+from .protocols import Discard, ProtocolTrace, _cut_pruner, cat_to_epr, make_trace, tree_to_cat
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def witness_disconnected_vs_cat(g: Hypergraph) -> BlockingWitness:
     if len(comps) < 2:
         raise InputError("graph is connected; no component split exists")
     coloring = Bicoloring(g.agents, comps[0])
-    return make_witness(g, cat_state(g.n), coloring, direction=("graph", "cat"))
+    return make_witness(g, cat_state(g.n), coloring)
 
 
 def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, BlockingWitness]:
@@ -99,8 +99,7 @@ def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, Blockin
         else:
             a_side = frozenset({e1[1], e2[1]})
     cat = cat_state(g.n)
-    forward = make_witness(cat, g, Bicoloring(g.agents, a_side),
-                           direction=("cat", "graph"))
+    forward = make_witness(cat, g, Bicoloring(g.agents, a_side))
     return forward, witness_disconnected_vs_cat(g)
 
 
@@ -122,7 +121,7 @@ def witness_ghz_not_two_epr(target: Hypergraph | None = None) -> BlockingWitness
         raise InputError("target must consist of two distinct EPR pairs")
     common = set(distinct[0]) & set(distinct[1])
     coloring = Bicoloring(target.agents, frozenset(common))
-    return make_witness(cat_state(3), target, coloring, direction=("ghz", "two-epr"))
+    return make_witness(cat_state(3), target, coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,7 @@ def witness_cat_copies_vs_tree(n: int, t: Hypergraph) -> BlockingWitness:
         raise InputError("need at least three agents")
     source = copies(Hypergraph(t.agents, (t.agents,)), n - 2)
     coloring = Bicoloring(t.agents, _proper_two_coloring(t))
-    witness = make_witness(source, t, coloring, direction=("cat-copies", "tree"))
+    witness = make_witness(source, t, coloring)
     require((witness.source_cut, witness.target_cut) == (n - 2, n - 1),
             "the proper 2-coloring cuts (n-2, n-1)")
     return witness
@@ -289,7 +288,7 @@ def split_trees(s1: TreeTable, s2: TreeTable) -> tuple[TreeSplit, BlockingWitnes
 
     agents = t1.agents
     colored_a = frozenset(a for p, a in enumerate(agents) if colored >> p & 1)
-    witness = make_witness(t1, t2, Bicoloring(agents, colored_a), direction=("t1", "t2"))
+    witness = make_witness(t1, t2, Bicoloring(agents, colored_a))
     require(witness.source_cut == 1, "the tree split cuts t1 once")
     split = TreeSplit(pivot_edge=(agents[i], agents[j]),
                       source_path=tuple(agents[p] for p in path), colored_a=colored_a)
@@ -320,7 +319,7 @@ def witness_pendant_condition(h1: Hypergraph, h2: Hypergraph,
     if h1.agents != h2.agents:
         raise InputError("states must share one agent set")
 
-    def one_direction(src, dst, direction):
+    def one_direction(src, dst):
         candidates = sorted(u for u in pendant_vertices(src) - pendant_vertices(dst)
                             if dst.degree(u) >= 2)
         if not candidates:
@@ -328,12 +327,11 @@ def witness_pendant_condition(h1: Hypergraph, h2: Hypergraph,
                 "no vertex is pendant on one side and multiply covered on the other")
         u = candidates[0]
         coloring = Bicoloring(src.agents, frozenset({u}))
-        witness = make_witness(src, dst, coloring, direction=direction)
+        witness = make_witness(src, dst, coloring)
         require(witness.source_cut == 1, "a pendant vertex is cut once")
         return witness
 
-    return (one_direction(h1, h2, ("h1", "h2")),
-            one_direction(h2, h1, ("h2", "h1")))
+    return one_direction(h1, h2), one_direction(h2, h1)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +347,8 @@ class SeparatingPair:
 
 
 def _require_r_uniform_hypertrees(h1: Hypergraph, h2: Hypergraph) -> int:
+    """The common r of two distinct r-uniform entangled hypertrees over one
+    agent set; raises InputError for any other pair."""
     if h1.agents != h2.agents:
         raise InputError("hypertrees must share one agent set")
     for h in (h1, h2):
@@ -431,8 +431,7 @@ class HypertreeProof:
     witness: BlockingWitness
 
 
-def _hypertree_direction(h1: Hypergraph, h2: Hypergraph,
-                         direction: tuple[str, str]) -> HypertreeProof:
+def _hypertree_direction(h1: Hypergraph, h2: Hypergraph) -> HypertreeProof:
     """Case analysis around the separating pair (u, v).
 
     All colorings cut h1 at exactly one hyperedge (one component of the
@@ -505,7 +504,7 @@ def _hypertree_direction(h1: Hypergraph, h2: Hypergraph,
             label = c_label + ".3.2"
 
     coloring = Bicoloring(h1.agents, a_side)
-    witness = make_witness(h1, h2, coloring, direction=direction)
+    witness = make_witness(h1, h2, coloring)
     require(witness.source_cut == 1, "the hypertree coloring cuts h1 once")
     return HypertreeProof(pair=pair, shared_edge=shared, case_label=label,
                           path_edges=tuple(path_edges), witness=witness)
@@ -522,18 +521,37 @@ def _case1_sublabel(w, x_edge, to_w, to_w_junctions, junctions) -> str:
 def r_uniform_incomparability(h1: Hypergraph, h2: Hypergraph,
                               ) -> tuple[HypertreeProof, HypertreeProof]:
     """Both direction proofs for distinct r-uniform hypertrees, r >= 3."""
-    return (_hypertree_direction(h1, h2, ("h1", "h2")),
-            _hypertree_direction(h2, h1, ("h2", "h1")))
+    return _hypertree_direction(h1, h2), _hypertree_direction(h2, h1)
+
+
+def _hypertree_witness(h1: Hypergraph, h2: Hypergraph, r: int) -> BlockingWitness:
+    """h1 -/-> h2 for distinct r-uniform hypertrees: the tree split for
+    r = 2 (spanning trees), the case analysis for r >= 3."""
+    if r == 2:
+        return witness_distinct_spanning_trees(h1, h2)[1]
+    return _hypertree_direction(h1, h2).witness
 
 
 def witness_r_uniform_hypertrees(h1: Hypergraph, h2: Hypergraph,
                                  ) -> tuple[BlockingWitness, BlockingWitness]:
     """Any two distinct r-uniform entangled hypertrees are incomparable;
-    returns (h1 -/-> h2, h2 -/-> h1).  r = 2 is the spanning-tree case and
-    delegates to the tree split."""
+    returns (h1 -/-> h2, h2 -/-> h1)."""
     r = _require_r_uniform_hypertrees(h1, h2)
-    if r == 2:
-        s1, s2 = tree_table(h1), tree_table(h2)
-        return split_trees(s1, s2)[1], split_trees(s2, s1)[1]
-    fwd_proof, bwd_proof = r_uniform_incomparability(h1, h2)
-    return fwd_proof.witness, bwd_proof.witness
+    return _hypertree_witness(h1, h2, r), _hypertree_witness(h2, h1, r)
+
+
+def structural_witness(source: Hypergraph, target: Hypergraph) -> BlockingWitness | None:
+    """A witness built from the states' structure, for pairs too large for
+    the exhaustive scan: the side of the search's cut pruner (a single
+    agent or a component cut), else the witness of two distinct r-uniform
+    hypertrees; None when neither applies."""
+    if source.agents != target.agents:
+        raise InputError("source and target must share one agent set")
+    side = _cut_pruner(target)(source)
+    if side is not None:
+        return make_witness(source, target, Bicoloring(source.agents, side))
+    try:
+        r = _require_r_uniform_hypertrees(source, target)
+    except InputError:
+        return None
+    return _hypertree_witness(source, target, r)

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import hashlib
 import inspect
 import json
 import textwrap
@@ -73,7 +74,35 @@ def test_check_json_report_round_trips(ghz_file, two_epr_file, capsys):
     trace = trace_from_json(report["backward"]["trace"])
     assert trace.start == target and trace.end == source
     assert len(trace.moves) == 1
-    assert report["inputs"]["source"]["sha256"]
+    for role, path in (("source", ghz_file), ("target", two_epr_file)):
+        with open(path, "rb") as f:
+            assert report["inputs"][role]["sha256"] == hashlib.sha256(f.read()).hexdigest()
+
+
+def test_check_reads_each_input_once(ghz_file, two_epr_file, monkeypatch, capsys):
+    # the report's hash names the bytes that were parsed, not a second read
+    import builtins
+
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["check", "--json", ghz_file, two_epr_file]) == EXIT_OK
+    assert [opened.count(p) for p in (ghz_file, two_epr_file)] == [1, 1]
+
+
+def test_check_rejects_input_that_is_not_utf8(tmp_path, ghz_file, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xffagents: 3\ncat: 1 2 3\n")
+    assert main(["check", str(bad), ghz_file]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "can't decode byte 0xff" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_check_identical_files_equivalent(tmp_path, capsys):
@@ -420,14 +449,14 @@ def test_check_past_color_bound_splits_distinct_hypertrees(tmp_path, capsys):
 def test_check_past_color_bound_builds_one_witness_per_direction(tmp_path, capsys,
                                                                  monkeypatch, inputs,
                                                                  builder):
-    import loccgraph.cli as cli_mod
+    import loccgraph.witnesses as witnesses
 
     calls = {name: [] for name in ("witness_distinct_spanning_trees", "_hypertree_direction")}
     for name, record in calls.items():
-        def recording(source, target, *rest, real=getattr(cli_mod, name), record=record):
+        def recording(source, target, *rest, real=getattr(witnesses, name), record=record):
             record.append((source, target))
             return real(source, target, *rest)
-        monkeypatch.setattr(cli_mod, name, recording)
+        monkeypatch.setattr(witnesses, name, recording)
     files = inputs(tmp_path)
     assert main(["check", "--json", "--search-budget", "2000", *files]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["classification"] == "incomparable"
@@ -516,9 +545,8 @@ def test_broken_witness_fails_the_sweeps(monkeypatch, capsys):
 
     real = witnesses.make_witness
 
-    def empty_coloring(source, target, coloring, direction):
-        return real(source, target, Bicoloring(coloring.agents, frozenset()),
-                    direction=direction)
+    def empty_coloring(source, target, coloring):
+        return real(source, target, Bicoloring(coloring.agents, frozenset()))
 
     monkeypatch.setattr(witnesses, "make_witness", empty_coloring)
     argv = ["verify-theorems", "--n-max", "3", "--sample-count", "2"]

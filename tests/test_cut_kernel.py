@@ -38,15 +38,14 @@ from loccgraph.merging import (
 from loccgraph.enumeration import all_spanning_trees
 
 
-def oracle_witness(source, target, *, color_bound=DEFAULT_COLOR_BOUND,
-                   direction=("source", "target")):
+def oracle_witness(source, target, *, color_bound=DEFAULT_COLOR_BOUND):
     if source.agents != target.agents:
         raise InputError("source and target must share one agent set")
     for coloring in iter_bicolorings(source.agents, bound=color_bound):
         s = bcm_cut(source, coloring)
         t = bcm_cut(target, coloring)
         if t > s:
-            return BlockingWitness(coloring, s, t, direction)
+            return BlockingWitness(coloring, s, t)
     return None
 
 
@@ -108,16 +107,14 @@ def test_level_sets_hold_each_coloring_at_its_cut(pair):
 @given(state_pairs())
 def test_first_witness_matches_the_oracle(pair):
     source, target = pair
-    for a, b, direction in ((source, target, ("source", "target")),
-                            (target, source, ("target", "source"))):
-        expected = oracle_witness(a, b, direction=direction)
-        got = find_blocking_witness(a, b, direction=direction)
+    for a, b in ((source, target), (target, source)):
+        expected = oracle_witness(a, b)
+        got = find_blocking_witness(a, b)
         assert got == expected
         if got is not None:
             assert got.coloring.bits() == expected.coloring.bits()
             assert (got.source_cut, got.target_cut) == (expected.source_cut,
                                                         expected.target_cut)
-            assert got.direction == direction
 
 
 @settings(max_examples=300, deadline=None)

@@ -53,8 +53,8 @@ def test_rejects_bad_edges():
 
 def test_multiplicity_and_replace():
     h = H(4, (1, 2), (1, 2), (3, 4))
-    assert h.multiplicity((2, 1)) == 2
-    assert h.replace(remove=[(1, 2)]).multiplicity((1, 2)) == 1
+    assert h.edges.count((1, 2)) == 2
+    assert h.replace(remove=[(1, 2)]).edges.count((1, 2)) == 1
     with pytest.raises(IllegalMove, match=re.escape("hyperedge (1, 3) is not in the state")):
         h.replace(remove=[(1, 3)])
 
@@ -210,7 +210,7 @@ def test_parse_and_format_round_trip():
 
 def test_parse_duplicates_encode_multiplicity():
     h = parse_hypergraph("agents: 2\ncat: 1 2\ncat: 1 2\n")
-    assert h.multiplicity((1, 2)) == 2
+    assert h.edges.count((1, 2)) == 2
 
 
 def test_parse_errors_carry_line_numbers():

@@ -65,7 +65,7 @@ def oracle_split(t1, t2):
         i, j = j, i
         path, colored_a = build(i, j)
 
-    witness = make_witness(t1, t2, Bicoloring(t1.agents, colored_a), direction=("t1", "t2"))
+    witness = make_witness(t1, t2, Bicoloring(t1.agents, colored_a))
     require(witness.source_cut == 1, "the tree split cuts t1 once")
     return TreeSplit(pivot_edge=(i, j), source_path=path, colored_a=colored_a), witness
 
@@ -166,13 +166,12 @@ def test_fold_over_shared_levels_matches_the_scan():
     trees = list(all_spanning_trees(4))
     levels = _cut_levels(trees[0].agents, *trees)
     for (a, a_levels), (b, b_levels) in itertools.product(zip(trees, levels), repeat=2):
-        for direction in (("source", "target"), ("t2", "t1")):
-            folded = _first_witness(a, b, a_levels, b_levels, direction=direction)
-            assert folded == find_blocking_witness(a, b, direction=direction)
-            # the first witness in coloring order, one coloring at a time
-            first = next((c for c in iter_bicolorings(a.agents)
-                          if bcm_cut(b, c) > bcm_cut(a, c)), None)
-            assert (folded and folded.coloring) == first
+        folded = _first_witness(a, b, a_levels, b_levels)
+        assert folded == find_blocking_witness(a, b)
+        # the first witness in coloring order, one coloring at a time
+        first = next((c for c in iter_bicolorings(a.agents)
+                      if bcm_cut(b, c) > bcm_cut(a, c)), None)
+        assert (folded and folded.coloring) == first
 
 
 def test_sweep_validates_each_tree_once_and_recuts_every_witness(monkeypatch):

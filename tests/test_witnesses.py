@@ -15,6 +15,7 @@ from loccgraph import (
     copies,
     find_blocking_witness,
     find_separating_pair,
+    is_entangled_hypertree,
     min_copies_lower_bound,
     path_tree,
     r_uniform_incomparability,
@@ -22,6 +23,7 @@ from loccgraph import (
     replay_trace,
     star_tree,
     pendant_vertices,
+    uniformity,
     witness_cat_copies_vs_tree,
     witness_cat_vs_disconnected,
     witness_disconnected_vs_cat,
@@ -31,9 +33,10 @@ from loccgraph import (
     witness_r_uniform_hypertrees,
 )
 from loccgraph.enumeration import all_spanning_trees, random_spanning_tree
-from loccgraph.errors import InputError
+from loccgraph.errors import BoundExceeded, InputError
 from loccgraph.merging import make_witness
-from loccgraph.witnesses import _proper_two_coloring
+from loccgraph.protocols import _cut_pruner
+from loccgraph.witnesses import _proper_two_coloring, structural_witness
 
 
 def H(n, *edges):
@@ -187,8 +190,7 @@ def test_cat_copies_vs_tree_keeps_its_witnesses_on_agents_one_to_n():
     for n in (3, 4, 5, 6):
         for t in all_spanning_trees(n):
             before = make_witness(copies(cat_state(n), n - 2), t,
-                                  Bicoloring(t.agents, _proper_two_coloring(t)),
-                                  direction=("cat-copies", "tree"))
+                                  Bicoloring(t.agents, _proper_two_coloring(t)))
             assert witness_cat_copies_vs_tree(n, t) == before
 
 
@@ -202,8 +204,7 @@ def test_cat_copies_vs_tree_on_relabeled_trees(labels, seed):
     relabeled = Hypergraph(tuple(labels), tuple((to[a], to[b]) for a, b in t.edges))
     w, plain = witness_cat_copies_vs_tree(n, relabeled), witness_cat_copies_vs_tree(n, t)
     assert w.coloring.a_side == {to[a] for a in plain.coloring.a_side}
-    assert (w.source_cut, w.target_cut, w.direction) == (
-        plain.source_cut, plain.target_cut, plain.direction)
+    assert (w.source_cut, w.target_cut) == (plain.source_cut, plain.target_cut)
     check_witness(w, copies(Hypergraph(tuple(labels), (tuple(labels),)), n - 2), relabeled)
 
 
@@ -393,3 +394,81 @@ def test_r_uniform_seeded_sweep():
             fwd, bwd = witness_r_uniform_hypertrees(h1, h2)
             check_witness(fwd, h1, h2)
             check_witness(bwd, h2, h1)
+
+
+# ---------------------------------------------------------------------------
+# structural witnesses past the color bound
+# ---------------------------------------------------------------------------
+
+def _chain(order, r):
+    """The r-uniform chain over `order`: consecutive edges share one agent."""
+    return H(len(order), *(tuple(order[i:i + r]) for i in range(0, len(order) - 1, r - 1)))
+
+
+def _past_bound_without_cut(source, target):
+    """The scan cannot run on the pair and no search cut prunes it, so only
+    the hypertree step of `structural_witness` can answer."""
+    with pytest.raises(BoundExceeded):
+        find_blocking_witness(source, target)
+    assert _cut_pruner(target)(source) is None
+
+
+def test_structural_witness_is_none_for_a_hypertree_against_a_cycle():
+    cycle = H(23, *((i, i + 1) for i in range(1, 23)), (1, 23))
+    path = path_tree(23)
+    _past_bound_without_cut(cycle, path)
+    assert structural_witness(cycle, path) is None
+
+
+def test_structural_witness_is_none_across_uniformities():
+    # 3- and 4-uniform chains on 25 agents whose shared agents are the
+    # same, so every agent is covered at least as often by the 3-chain
+    three = _chain(list(range(1, 26)), 3)
+    four = Hypergraph(tuple(range(1, 26)), ((1, 2, 3, 4), (3, 5, 6, 8), (5, 7, 10, 12),
+                                            (7, 9, 14, 16), (9, 11, 17, 18),
+                                            (11, 13, 19, 20), (13, 15, 21, 22),
+                                            (15, 23, 24, 25)))
+    assert all(map(is_entangled_hypertree, (three, four)))
+    assert (uniformity(three), uniformity(four)) == (3, 4)
+    _past_bound_without_cut(three, four)
+    assert structural_witness(three, four) is None
+
+
+def test_structural_witness_is_none_for_a_state_against_itself():
+    for h in (path_tree(23), _chain(list(range(1, 24)), 3)):
+        _past_bound_without_cut(h, h)
+        assert structural_witness(h, h) is None
+
+
+def test_structural_witness_is_none_for_mixed_edge_sizes():
+    # edges of sizes 3 and 2 alternate; the target swaps two degree-1
+    # agents of different 3-edges
+    edges = [(1, 2, 3), (3, 4), (4, 5, 6), *((i, i + 1) for i in range(6, 23))]
+    swap = {1: 5, 5: 1}
+    source = H(23, *edges)
+    target = H(23, *(tuple(swap.get(a, a) for a in e) for e in edges))
+    assert all(map(is_entangled_hypertree, (source, target)))
+    assert uniformity(source) is None
+    _past_bound_without_cut(source, target)
+    assert structural_witness(source, target) is None
+
+
+def test_structural_witness_builds_the_hypertree_witness():
+    for r in (2, 3):
+        h1 = _chain(list(range(1, 24)), r)
+        h2 = _chain([1, 4, 3, 2, *range(5, 24)], r)
+        _past_bound_without_cut(h1, h2)
+        assert structural_witness(h1, h2) == witness_r_uniform_hypertrees(h1, h2)[0]
+
+
+def test_structural_witness_prefers_the_search_cut():
+    # distinct 3-uniform hypertrees where agent 3 sits in two source edges
+    # but three target edges: the single-agent cut (2, 3) comes first,
+    # ahead of the hypertree witness, which cuts the source once
+    source = _chain(list(range(1, 24)), 3)
+    target = Hypergraph(source.agents, tuple((3, 6, 7) if e == (5, 6, 7) else e
+                                             for e in source.edges))
+    cut = make_witness(source, target, Bicoloring(source.agents, frozenset({3})))
+    assert (cut.source_cut, cut.target_cut) == (2, 3)
+    assert witness_r_uniform_hypertrees(source, target)[0].source_cut == 1
+    assert structural_witness(source, target) == cut
