@@ -58,7 +58,6 @@ from .witnesses import (
     witness_cat_vs_disconnected,
     witness_disconnected_vs_cat,
     witness_distinct_spanning_trees,
-    witness_ghz_not_two_epr,
     witness_pendant_condition,
     witness_r_uniform_hypertrees,
 )
@@ -66,7 +65,7 @@ from .distance import DistanceReport, distance_report, find_saturating_pairs, qu
 from .enumeration import (
     all_spanning_trees,
     prufer_decode,
-    prufer_encode,
     random_r_uniform_hypertree,
     random_spanning_tree,
+    tree_classes,
 )

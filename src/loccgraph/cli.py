@@ -145,12 +145,12 @@ def _field_to_json(value):
 
 
 def _read(path: str) -> tuple[str, bytes]:
-    """A file's bytes, read once, and their UTF-8 text with newlines
-    translated as a text-mode read translates them."""
+    """A file's bytes, read once, and their UTF-8 text less one leading
+    byte-order mark, with newlines translated as text mode translates them."""
     with open(path, "rb") as f:
         data = f.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(str(exc)) from None
     return text.replace("\r\n", "\n").replace("\r", "\n"), data

@@ -1,5 +1,5 @@
-"""Instance generators: labeled spanning trees via the Prufer bijection
-and seeded r-uniform hypertrees.
+"""Instance generators: labeled spanning trees via the Prufer bijection,
+their isomorphism classes, and seeded r-uniform hypertrees.
 """
 
 from __future__ import annotations
@@ -8,10 +8,10 @@ import heapq
 import itertools
 import random
 from collections import Counter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import BoundExceeded, InputError
-from .hypergraph import Hypergraph, is_spanning_epr_tree
+from .hypergraph import Hypergraph, is_spanning_epr_tree, reach
 
 TREE_ENUM_MAX_N = 7  # n^(n-2) <= 16807
 
@@ -41,34 +41,41 @@ def prufer_decode(symbols, n: int) -> Hypergraph:
     return Hypergraph(tuple(range(1, n + 1)), tuple(edges))
 
 
-def prufer_encode(t: Hypergraph) -> tuple[int, ...]:
-    """Inverse of prufer_decode; requires a spanning EPR tree."""
-    if not is_spanning_epr_tree(t):
-        raise InputError("can only encode a spanning EPR tree")
-    n = t.n
-    neighbors: dict[int, set[int]] = {a: set() for a in t.agents}
-    for a, b in t.edges:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    leaves = [v for v in t.agents if len(neighbors[v]) == 1]
-    heapq.heapify(leaves)
-    symbols = []
-    for _ in range(n - 2):
-        leaf = heapq.heappop(leaves)
-        nb = neighbors[leaf].pop()
-        neighbors[nb].discard(leaf)
-        symbols.append(nb)
-        if len(neighbors[nb]) == 1:
-            heapq.heappush(leaves, nb)
-    return tuple(symbols)
-
-
 def all_spanning_trees(n: int) -> Iterator[Hypergraph]:
     """All n^(n-2) labeled spanning trees on agents 1..n, deterministic order."""
     if not 2 <= n <= TREE_ENUM_MAX_N:
         raise BoundExceeded(f"exhaustive tree enumeration supports 2 <= n <= {TREE_ENUM_MAX_N}")
     for symbols in itertools.product(range(1, n + 1), repeat=n - 2):
         yield prufer_decode(symbols, n)
+
+
+def tree_classes(trees: Iterable[Hypergraph]) -> list[tuple[Hypergraph, int]]:
+    """Isomorphism classes of spanning EPR trees, as (first tree, class
+    size) in order of first appearance.  A class's key is the
+    Aho-Hopcroft-Ullman encoding rooted at the center (the lesser over two
+    centers): a rooted tree is '(' + its subtrees' sorted encodings + ')'."""
+    classes: dict[str, list] = {}
+    for t in trees:
+        if not is_spanning_epr_tree(t):
+            raise InputError("can only classify spanning EPR trees")
+        # the centers: the middle of a longest path, which starts at a farthest agent
+        via = reach(t, next(reversed(reach(t, t.agents[0]))))
+        path = [next(reversed(via))]
+        while via[path[-1]] is not None:
+            path.append(via[path[-1]][0])
+        middle = {path[len(path) // 2], path[(len(path) - 1) // 2]}
+        classes.setdefault(min(_rooted_encoding(t, c) for c in middle), [t, 0])[1] += 1
+    return [(t, size) for t, size in classes.values()]
+
+
+def _rooted_encoding(t: Hypergraph, root: int) -> str:
+    via = reach(t, root)
+    subtrees: dict[int, list[str]] = {a: [] for a in via}
+    for a, step in reversed(via.items()):  # every agent after its parent
+        code = "(" + "".join(sorted(subtrees[a])) + ")"
+        if step is not None:
+            subtrees[step[0]].append(code)
+    return code  # the root's, which is discovered first
 
 
 def random_spanning_tree(n: int, seed: int) -> Hypergraph:

@@ -19,9 +19,10 @@ coloring at once.  A scan is two steps: `_cut_levels` builds each state's
 level sets (the colorings that cut it v times), and `_first_witness` folds
 a source's and a target's levels into the first witness (`_min_copies`
 folds them into the copy lower bound).  A state's levels depend on nothing
-else, so the tree-pair and CAT-copy sweeps build them once per tree and
-fold every pair from them.  Every witness the fold emits has both
-cuts recomputed by the per-coloring `bcm_cut`.
+else, so the tree-pair sweep builds them once per labeled tree and the
+CAT-copy sweep once per class representative, and each folds every pair
+from them.  Every witness the fold emits has both cuts recomputed by the
+per-coloring `bcm_cut`.
 """
 
 from __future__ import annotations

@@ -6,16 +6,22 @@ Every case is counted, a failed check (a `require` or any LoccError) ends
 only its own case, and the first failure is kept as the case's fields plus
 the error text.  Fields hold raw values, such as states and moves; the
 command line encodes them.
+
+The tree sweeps check one representative R per isomorphism class: cuts
+do not change when both states and the coloring are relabeled by one s,
+so (R, t) covers every labeled pair (s R, s t), and R covers its class
+(the CAT is fixed by every s).  `checked` counts the labeled cases the
+representatives cover: each pair of distinct trees, and each tree.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from . import distance
 from .errors import LoccError, require
-from .enumeration import all_spanning_trees, random_r_uniform_hypertree, random_spanning_tree
+from .enumeration import (all_spanning_trees, random_r_uniform_hypertree,
+                          random_spanning_tree, tree_classes)
 from .hypergraph import Hypergraph, cat_state, pendant_vertices
 from .merging import (
     Bicoloring,
@@ -39,8 +45,9 @@ from .witnesses import (
 
 class Sweep:
     """One sweep's tally.  Each case runs its checks inside
-    `with sweep.case(**fields):`.  A plain class rather than a
-    generator-based context manager, which costs measurably per case."""
+    `with sweep.case(**fields):`, counted as `counted` cases.  A plain class
+    rather than a generator-based context manager, which costs measurably
+    per case."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -48,7 +55,7 @@ class Sweep:
         self.failures: list[dict] = []
         self._fields: dict = {}
 
-    def case(self, *, counted: bool = True, **fields) -> "Sweep":
+    def case(self, *, counted: int = 1, **fields) -> "Sweep":
         self.checked += counted
         self._fields = fields
         return self
@@ -82,13 +89,17 @@ def spanning_tree_incomparability(n_max: int) -> dict:
         trees = list(all_spanning_trees(n))
         tables = [tree_table(t) for t in trees]
         levels = _cut_levels(trees[0].agents, *trees)
-        for one, two in itertools.combinations(zip(trees, tables, levels), 2):
-            with sweep.case(n=n, t1=one[0], t2=two[0]):
-                for (a, a_table, a_levels), (b, b_table, b_levels) in ((one, two), (two, one)):
-                    _, witness = split_trees(a_table, b_table)
+        for rep, _ in tree_classes(trees):
+            r = trees.index(rep)
+            for i, t in enumerate(trees):
+                if i == r:
+                    continue
+                with sweep.case(counted=False, n=n, t1=rep, t2=t):
+                    _, witness = split_trees(tables[r], tables[i])
                     require(witness.target_cut > witness.source_cut, "the tree split blocks")
-                    require(_first_witness(a, b, a_levels, b_levels) is not None,
+                    require(_first_witness(rep, t, levels[r], levels[i]) is not None,
                             "the scan blocks")
+        sweep.checked += len(trees) * (len(trees) - 1) // 2  # the labeled pairs covered
     return sweep.report()
 
 
@@ -104,14 +115,15 @@ def tree_count(n_max: int) -> dict:
 def cat_copy_bound(n_max: int) -> dict:
     sweep = Sweep("cat-copy-bound")
     for n in range(3, n_max + 1):
-        # the CAT's cut levels are built once, for all the trees
-        trees = list(all_spanning_trees(n))
-        cat_levels, *levels = _cut_levels(trees[0].agents, cat_state(n), *trees)
-        for t, t_levels in zip(trees, levels):
-            with sweep.case(n=n, tree=t):
-                require(_min_copies(cat_levels, t_levels) == n - 1,
+        # the CAT's cut levels are built once, for all the representatives
+        classes = tree_classes(all_spanning_trees(n))
+        cat_levels, *levels = _cut_levels(classes[0][0].agents, cat_state(n),
+                                          *(rep for rep, _ in classes))
+        for (rep, size), rep_levels in zip(classes, levels):
+            with sweep.case(counted=size, n=n, tree=rep):
+                require(_min_copies(cat_levels, rep_levels) == n - 1,
                         "the copy lower bound is n - 1")
-                require(cat_copies_to_tree(t).end == t, "n - 1 CAT copies make the tree")
+                require(cat_copies_to_tree(rep).end == rep, "n - 1 CAT copies make the tree")
     return sweep.report()
 
 

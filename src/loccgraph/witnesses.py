@@ -103,27 +103,6 @@ def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, Blockin
     return forward, witness_disconnected_vs_cat(g)
 
 
-def witness_ghz_not_two_epr(target: Hypergraph | None = None) -> BlockingWitness:
-    """A three-party GHZ state cannot be turned into two EPR pairs.
-
-    `target` is any two distinct pairs among three agents (default: pairs
-    {1,3} and {2,3}); the witness colors the agent common to both pairs A.
-    Consequence: a GHZ state also cannot drive selective teleportation of
-    two qubits to the other two parties, since success would manufacture
-    exactly these two pairs.
-    """
-    if target is None:
-        target = Hypergraph((1, 2, 3), ((1, 3), (2, 3)))
-    if target.n != 3:
-        raise InputError("the two-EPR configuration lives on three agents")
-    distinct = sorted(set(target.edges))
-    if len(target.edges) != 2 or len(distinct) != 2 or any(len(e) != 2 for e in distinct):
-        raise InputError("target must consist of two distinct EPR pairs")
-    common = set(distinct[0]) & set(distinct[1])
-    coloring = Bicoloring(target.agents, frozenset(common))
-    return make_witness(cat_state(3), target, coloring)
-
-
 # ---------------------------------------------------------------------------
 # order chains
 # ---------------------------------------------------------------------------

@@ -105,6 +105,25 @@ def test_check_rejects_input_that_is_not_utf8(tmp_path, ghz_file, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("target", ["ghz_file", "two_epr_file"])
+def test_check_accepts_a_utf8_byte_order_mark(tmp_path, target, request, capsys):
+    text, mark = b"agents: 3\ncat: 1 2 3\n", b"\xef\xbb\xbf"
+    target = request.getfixturevalue(target)
+    reports = []
+    for name, data in (("marked.txt", mark + text), ("plain.txt", text)):
+        (tmp_path / name).write_bytes(data)
+        assert main(["check", "--json", str(tmp_path / name), target]) == EXIT_OK
+        reports.append(json.loads(capsys.readouterr().out))
+    marked, plain = (report["inputs"].pop("source") for report in reports)
+    # the same verdicts, and the report hashes the raw bytes, mark included
+    assert reports[0] == reports[1]
+    assert marked["sha256"] == hashlib.sha256(mark + text).hexdigest() != plain["sha256"]
+    # only one mark is a byte-order mark
+    (tmp_path / "twice.txt").write_bytes(2 * mark + text)
+    assert main(["check", str(tmp_path / "twice.txt"), target]) == EXIT_INPUT
+    assert "unrecognized line '\\ufeffagents: 3'" in capsys.readouterr().err
+
+
 def test_check_identical_files_equivalent(tmp_path, capsys):
     a = write_state(tmp_path, "a.txt", "agents: 3\ncat: 1 2\ncat: 2 3\n")
     b = write_state(tmp_path, "b.txt", "agents: 3\ncat: 1 2\ncat: 2 3\n")

@@ -2,8 +2,13 @@
 its own case, and the first failure is kept with its case fields."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import loccgraph
 
 from loccgraph import sweeps
 from loccgraph.cli import main, move_from_json, state_from_json
@@ -82,5 +87,27 @@ def test_cat_copy_bound_builds_the_levels_once_per_n(monkeypatch):
 
     monkeypatch.setattr(sweeps, "_cut_levels", counted)
     report = sweeps.cat_copy_bound(5)
+    # every labeled tree is counted; the levels are built for its class's representative
     assert report == {"name": "cat-copy-bound", "checked": 3 + 16 + 125, "failures": []}
-    assert calls == [1 + 3, 1 + 16, 1 + 125]
+    assert calls == [1 + 1, 1 + 2, 1 + 3]
+
+
+def test_the_orbit_reduced_sweeps_count_every_labeled_case_at_n6():
+    report = {s["name"]: s for s in sweeps.run_sweeps(6, [3], seed=0, sample_count=1)}
+    for name, checked in (("spanning-tree-incomparability", 847_033),
+                          ("cat-copy-bound", 1_440)):
+        assert report[name] == {"name": name, "checked": checked, "failures": []}
+    assert all(not s["failures"] for s in report.values())
+
+
+@pytest.mark.slow
+def test_verify_theorems_passes_at_n7():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loccgraph.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "loccgraph", "verify-theorems",
+                           "--n-max", "7", "--json"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = {s["name"]: s for s in json.loads(proc.stdout)["sweeps"]}
+    assert all(not s["failures"] for s in report.values())
+    assert report["spanning-tree-incomparability"]["checked"] == 142_076_254
+    assert report["cat-copy-bound"]["checked"] == 18_247

@@ -10,6 +10,7 @@ gives.
 
 import itertools
 import os
+from collections import Counter
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import loccgraph
 from loccgraph import Hypergraph, find_blocking_witness, path_tree, star_tree, sweeps
 from loccgraph import merging, witnesses
-from loccgraph.enumeration import all_spanning_trees, random_spanning_tree
+from loccgraph.enumeration import all_spanning_trees, random_spanning_tree, tree_classes
 from loccgraph.errors import InputError, require
 from loccgraph.hypergraph import hyperpath, is_spanning_epr_tree, reach
 from loccgraph.merging import (
@@ -190,9 +191,12 @@ def test_sweep_validates_each_tree_once_and_recuts_every_witness(monkeypatch):
         monkeypatch.setattr(module, "make_witness", recount)
     report = sweeps.spanning_tree_incomparability(4)
     trees = [*all_spanning_trees(3), *all_spanning_trees(4)]
+    # the labeled pairs the representatives cover: 3 at n = 3, 120 at n = 4
     assert report["checked"] == 3 + 120 and report["failures"] == []
     assert validated == trees
-    # each ordered pair: the tree split's witness and the scan's witness
-    assert len(recut) == 2 * 2 * report["checked"]
-    assert {pair for pair in recut} == {(a, b) for a, b in itertools.permutations(trees, 2)
-                                        if a.n == b.n}
+    # each representative against every other tree on its agents: the tree
+    # split's witness and the scan's witness
+    reps = [rep for n in (3, 4) for rep, _ in tree_classes(all_spanning_trees(n))]
+    assert len(reps) == 1 + 2
+    assert Counter(recut) == {(rep, t): 2 for rep in reps for t in trees
+                              if t.n == rep.n and t != rep}

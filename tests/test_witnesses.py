@@ -28,7 +28,6 @@ from loccgraph import (
     witness_cat_vs_disconnected,
     witness_disconnected_vs_cat,
     witness_distinct_spanning_trees,
-    witness_ghz_not_two_epr,
     witness_pendant_condition,
     witness_r_uniform_hypertrees,
 )
@@ -126,6 +125,14 @@ def test_cat_vs_duplicated_pair():
 # ---------------------------------------------------------------------------
 # GHZ vs two EPR pairs
 # ---------------------------------------------------------------------------
+
+def witness_ghz_not_two_epr(target=H(3, (1, 3), (2, 3))):
+    """The proof that a three-party GHZ state cannot become two EPR pairs
+    among its agents: color A the agent both pairs share, cuts (1, 2)."""
+    first, second = target.edges
+    return make_witness(cat_state(3), target,
+                        Bicoloring(target.agents, frozenset(first) & frozenset(second)))
+
 
 @pytest.mark.parametrize("pairs,expect_a", [
     ((((1, 3), (2, 3))), {3}),
