@@ -11,6 +11,7 @@ same direction, which must never happen).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -381,7 +382,9 @@ def cmd_verify_theorems(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; it holds no handler and no mutable default."""
     parser = argparse.ArgumentParser(
         prog="loccgraph",
         description="LOCC comparability of maximally entangled multipartite "
@@ -400,39 +403,38 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="max canonical states for reachability search"),
     }
 
-    def command(name, func, help, *arguments):
+    def command(name, help, *arguments):
         """A subcommand taking only the arguments its handler reads."""
         p = sub.add_parser(name, help=help)
         for argument in arguments:
             p.add_argument(argument, **shared.get(argument, {}))
-        p.set_defaults(func=func)
         return p
 
-    command("check", cmd_check, "classify a pair of state files",
+    command("check", "classify a pair of state files",
             "source", "target", "--json", "--color-bound", "--search-budget")
-    p = command("verify-theorems", cmd_verify_theorems, "run the theorem sweeps",
-                "--json", "--seed")
+    p = command("verify-theorems", "run the theorem sweeps", "--json", "--seed")
     p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--r-list", type=int, nargs="*", default=[3])
+    p.add_argument("--r-list", type=int, nargs="*", default=(3,))
     p.add_argument("--sample-count", type=int, default=50)
-    command("distance", cmd_distance, "quantum distance between two trees",
+    command("distance", "quantum distance between two trees",
             "source", "target", "--json", "--color-bound")
-    command("protocol", cmd_protocol, "search for an LOCC protocol",
+    command("protocol", "search for an LOCC protocol",
             "source", "target", "--json", "--search-budget")
-    command("replay", cmd_replay, "replay a JSON trace file", "trace")
-    p = command("enumerate", cmd_enumerate, "emit instances in the text format", "--seed")
+    command("replay", "replay a JSON trace file", "trace")
+    p = command("enumerate", "emit instances in the text format", "--seed")
     p.add_argument("kind", choices=["trees", "hypertrees"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--count", type=int, default=1)
-    command("export-dot", cmd_export_dot, "render a state file as DOT", "source")
+    command("export-dot", "render a state file as DOT", "source")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the handler is looked up at each call: one rebound after the parser was built runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (LoccError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

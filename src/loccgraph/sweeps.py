@@ -82,14 +82,20 @@ def order_chain(n_max: int) -> dict:
     return sweep.report()
 
 
-def spanning_tree_incomparability(n_max: int) -> dict:
+def tree_catalog(n_max: int) -> list:
+    """(n, labeled trees, their classes) for n = 3..n_max: each n enumerated
+    and classified once, for both tree sweeps."""
+    return [(n, trees, tree_classes(trees)) for n in range(3, n_max + 1)
+            for trees in [list(all_spanning_trees(n))]]
+
+
+def spanning_tree_incomparability(catalog) -> dict:
     sweep = Sweep("spanning-tree-incomparability")
-    for n in range(3, n_max + 1):
+    for n, trees, classes in catalog:
         # each tree's split table and cut levels are built once, for all its pairs
-        trees = list(all_spanning_trees(n))
         tables = [tree_table(t) for t in trees]
         levels = _cut_levels(trees[0].agents, *trees)
-        for rep, _ in tree_classes(trees):
+        for rep, _ in classes:
             r = trees.index(rep)
             for i, t in enumerate(trees):
                 if i == r:
@@ -112,11 +118,10 @@ def tree_count(n_max: int) -> dict:
     return sweep.report()
 
 
-def cat_copy_bound(n_max: int) -> dict:
+def cat_copy_bound(catalog) -> dict:
     sweep = Sweep("cat-copy-bound")
-    for n in range(3, n_max + 1):
+    for n, _, classes in catalog:
         # the CAT's cut levels are built once, for all the representatives
-        classes = tree_classes(all_spanning_trees(n))
         cat_levels, *levels = _cut_levels(classes[0][0].agents, cat_state(n),
                                           *(rep for rep, _ in classes))
         for (rep, size), rep_levels in zip(classes, levels):
@@ -237,11 +242,12 @@ def move_soundness(seed: int, sample_count: int) -> dict:
 
 def run_sweeps(n_max: int, r_list, seed: int, sample_count: int) -> list[dict]:
     """Every sweep's report, in the order `verify-theorems` prints them."""
+    catalog = tree_catalog(n_max)
     return [
         order_chain(n_max),
         tree_count(n_max),
-        spanning_tree_incomparability(n_max),
-        cat_copy_bound(n_max),
+        spanning_tree_incomparability(catalog),
+        cat_copy_bound(catalog),
         disconnected_vs_cat(seed, sample_count),
         pendant_condition(seed, sample_count),
         r_uniform_hypertree_incomparability(r_list, seed, sample_count),

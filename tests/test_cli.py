@@ -259,13 +259,57 @@ def test_internal_inconsistency_exit_code(monkeypatch, tmp_path):
         raise AssertionError("witness and trace found for one direction")
 
     monkeypatch.setattr(cli_mod, "cmd_check", boom)
-    parser = cli_mod.build_parser()
     a = write_state(tmp_path, "a.txt", "agents: 2\ncat: 1 2\n")
-    args = parser.parse_args(["check", a, a])
-    args.func = boom
-    monkeypatch.setattr(cli_mod, "build_parser", lambda: parser)
-    monkeypatch.setattr(parser, "parse_args", lambda argv=None: args)
     assert cli_mod.main(["check", a, a]) == 4
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path, ghz_file, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["check", ghz_file, ghz_file]) == EXIT_OK
+    assert main(["export-dot", ghz_file]) == EXIT_OK
+    assert main(["enumerate", "trees", "--n", "3"]) == EXIT_OK
+    assert main(["verify-theorems", "--n-max", "3", "--sample-count", "1"]) == EXIT_OK
+    assert main(["replay", str(tmp_path / "missing.json")]) == EXIT_INPUT
+    # the top-level parser and its 7 subparsers, all on the first call
+    assert len(built) == 8
+    assert build_parser() is build_parser() is built[0]
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(ghz_file, two_epr_file, capsys):
+    argv = ["check", ghz_file, two_epr_file, "--json"]
+    build_parser.cache_clear()
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+
+
+def test_a_handler_rebound_after_the_first_call_runs(monkeypatch, ghz_file):
+    import loccgraph.cli as cli_mod
+
+    assert main(["check", ghz_file, ghz_file]) == EXIT_OK
+    ran = []
+    monkeypatch.setattr(cli_mod, "cmd_check", lambda args: ran.append(args.source) or 7)
+    assert main(["check", ghz_file, ghz_file]) == 7
+    assert ran == [ghz_file]
+
+
+def test_parser_defaults_are_immutable():
+    for subparser in _subcommands().values():
+        for action in subparser._actions:
+            hash(action.default)  # a list or dict default would be shared by every call
 
 
 def _witnessed_pair(tmp_path):
@@ -522,9 +566,12 @@ def _options_read(handler) -> set:
 
 @pytest.mark.parametrize("name", sorted(_subcommands()))
 def test_subcommand_declares_only_what_its_handler_reads(name):
+    import loccgraph.cli as cli_mod
+
     subparser = _subcommands()[name]
     declared = {a.dest for a in subparser._actions if not isinstance(a, argparse._HelpAction)}
-    assert declared == _options_read(subparser.get_default("func"))
+    handler = getattr(cli_mod, "cmd_" + name.replace("-", "_"))
+    assert declared == _options_read(handler)
 
 
 @pytest.mark.parametrize("argv", [

@@ -51,7 +51,7 @@ def test_a_failing_check_leaves_every_case_counted(monkeypatch):
         raise IllegalMove(f"no protocol for {tree.edges}")
 
     monkeypatch.setattr(sweeps, "cat_copies_to_tree", refuse)
-    report = sweeps.cat_copy_bound(4)
+    report = sweeps.cat_copy_bound(sweeps.tree_catalog(4))
     first = next(iter(all_spanning_trees(3)))
     assert report["checked"] == 3 + 16
     assert report["failures"] == [{"n": 3, "tree": first,
@@ -86,10 +86,25 @@ def test_cat_copy_bound_builds_the_levels_once_per_n(monkeypatch):
         return real(agents, *hypergraphs)
 
     monkeypatch.setattr(sweeps, "_cut_levels", counted)
-    report = sweeps.cat_copy_bound(5)
+    report = sweeps.cat_copy_bound(sweeps.tree_catalog(5))
     # every labeled tree is counted; the levels are built for its class's representative
     assert report == {"name": "cat-copy-bound", "checked": 3 + 16 + 125, "failures": []}
     assert calls == [1 + 1, 1 + 2, 1 + 3]
+
+
+def test_the_tree_sweeps_share_one_classification_per_n(monkeypatch):
+    classified = []
+    real = sweeps.tree_classes
+
+    def counted(trees):
+        classified.append(trees[0].n)
+        return real(trees)
+
+    monkeypatch.setattr(sweeps, "tree_classes", counted)
+    report = {s["name"]: s for s in sweeps.run_sweeps(5, [3], seed=0, sample_count=1)}
+    assert classified == [3, 4, 5]
+    assert report["spanning-tree-incomparability"]["checked"] == 3 + 120 + 7_750
+    assert report["cat-copy-bound"]["checked"] == 3 + 16 + 125
 
 
 def test_the_orbit_reduced_sweeps_count_every_labeled_case_at_n6():

@@ -189,7 +189,7 @@ def test_sweep_validates_each_tree_once_and_recuts_every_witness(monkeypatch):
     monkeypatch.setattr(witnesses, "is_spanning_epr_tree", validate)
     for module in (witnesses, merging):
         monkeypatch.setattr(module, "make_witness", recount)
-    report = sweeps.spanning_tree_incomparability(4)
+    report = sweeps.spanning_tree_incomparability(sweeps.tree_catalog(4))
     trees = [*all_spanning_trees(3), *all_spanning_trees(4)]
     # the labeled pairs the representatives cover: 3 at n = 3, 120 at n = 4
     assert report["checked"] == 3 + 120 and report["failures"] == []
