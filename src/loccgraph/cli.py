@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import BoundExceeded, InputError, LoccError, require
@@ -46,6 +47,77 @@ EXIT_INCONSISTENT = 4
 # ---------------------------------------------------------------------------
 # JSON encoding / decoding
 # ---------------------------------------------------------------------------
+
+_INF = float("inf")
+
+
+def dumps(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for every report.
+
+    The standard library's C encoder serves only unindented output, so
+    `indent=2` runs a pure-Python generator per value.  This writer appends
+    to one list and joins once.  A list of plain ints is one `join`, and
+    its text is kept for the rest of the call, keyed by its depth and
+    values, because a trace repeats its edges from state to state.  A value
+    with no JSON form, such as a set or a non-string key, is an internal
+    inconsistency."""
+    out: list[str] = []
+    append = out.append
+    int_lists: dict = {}
+
+    def emit(value, depth: int) -> None:
+        # containers first: they are most of a report
+        if isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            if set(map(type, value)) == {int}:  # the type test keeps bools out
+                key = (depth, *value)
+                text = int_lists.get(key)
+                if text is None:
+                    text = int_lists[key] = ("[" + inner + ("," + inner).join(map(str, value))
+                                             + "\n" + "  " * depth + "]")
+                append(text)
+                return
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                emit(item, depth + 1)
+                sep = "," + inner
+            append("\n" + "  " * depth + "]")
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = "\n" + "  " * (depth + 1)
+            sep = "{" + inner
+            for key, item in value.items():
+                if not isinstance(key, str):  # the message is formatted only for a bad key
+                    require(False, f"a report key is not a string: {key!r}")
+                append(sep + encode_basestring_ascii(key) + ": ")
+                emit(item, depth + 1)
+                sep = "," + inner
+            append("\n" + "  " * depth + "}")
+        elif isinstance(value, str):
+            append(encode_basestring_ascii(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, float):
+            append("NaN" if value != value else "Infinity" if value == _INF
+                   else "-Infinity" if value == -_INF else float.__repr__(value))
+        else:
+            require(False, f"a report value has no JSON form: {value!r}")
+
+    emit(obj, 0)
+    return "".join(out)
+
 
 def state_to_json(h: Hypergraph) -> dict:
     return {"agents": list(h.agents), "edges": [list(e) for e in h.edges]}
@@ -251,7 +323,7 @@ def cmd_check(args) -> int:
             out["note"] = d.note
     report["classification"] = verdict.classification
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(dumps(report))
     else:
         for label, d in (("forward  (source -> target)", forward),
                          ("backward (target -> source)", backward)):
@@ -270,13 +342,13 @@ def cmd_distance(args) -> int:
     t2 = _read_state(args.target)
     report = distance_report(t1, t2, color_bound=args.color_bound)
     if args.json:
-        print(json.dumps({
+        print(dumps({
             "qd": report.qd,
             "copies_lower": report.copies_lower,
             "copies_upper": report.copies_upper,
             "qubit_upper": report.qubit_upper,
             "upper_trace": trace_to_json(report.upper_trace),
-        }, indent=2))
+        }))
     else:
         print(f"quantum distance: {report.qd}")
         print(f"copies needed: between {report.copies_lower} and {report.copies_upper}")
@@ -296,7 +368,7 @@ def cmd_protocol(args) -> int:
         print("no protocol found (search exhausted or blocked by a cut)", file=sys.stderr)
         return EXIT_UNKNOWN
     if args.json:
-        print(json.dumps(trace_to_json(trace), indent=2))
+        print(dumps(trace_to_json(trace)))
     else:
         print(f"found a {len(trace.moves)}-move protocol:")
         for m in trace.moves:
@@ -374,7 +446,7 @@ def cmd_verify_theorems(args) -> int:
         for sweep in sweeps:
             sweep["failures"] = [{key: _field_to_json(value) for key, value in failure.items()}
                                  for failure in sweep["failures"]]
-        print(json.dumps({"version": __version__, "sweeps": sweeps}, indent=2))
+        print(dumps({"version": __version__, "sweeps": sweeps}))
     return EXIT_OK if not failed else 1
 
 

@@ -87,9 +87,10 @@ class Hypergraph:
             if i == len(pool) or pool[i] != e:
                 raise IllegalMove(f"hyperedge {e} is not in the state")
             del pool[i]
-        known = set(self.agents)
-        for edge in add:
-            insort(pool, self._canonical(edge, known))
+        if add:  # a discard adds nothing, so it needs no agent set
+            known = set(self.agents)
+            for edge in add:
+                insort(pool, self._canonical(edge, known))
         return _trusted(self.agents, tuple(pool))
 
 

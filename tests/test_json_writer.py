@@ -1,0 +1,102 @@
+"""The one JSON writer behind every `--json` report: `cli.dumps` returns what
+`json.dumps(value, indent=2)` returns, byte for byte, and a value with no
+JSON form is an internal inconsistency (exit 4), never a traceback."""
+
+import ast
+import json
+import math
+import pathlib
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import loccgraph
+from loccgraph import cli
+from loccgraph.cli import dumps, main
+
+
+def oracle(value) -> str:
+    return json.dumps(value, indent=2)
+
+
+# short int lists, so that equal lists recur and the writer's memo is hit
+INT_LISTS = st.lists(st.integers(-3, 3), max_size=3)
+TEXT = st.text(st.characters(min_codepoint=0)) | st.sampled_from(
+    ["", "ascii", "\x00\x1f\x7f", "tab\there", 'quote " and \\', "é ü ø", "日本", "\U0001f600"])
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-(10 ** 60), 10 ** 60)
+           | st.floats() | TEXT)
+VALUES = st.recursive(
+    SCALARS | INT_LISTS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(VALUES)
+@example(None)
+@example([])
+@example({})
+@example(())
+@example([[], {}, ()])
+@example([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324])
+@example([True, False, 1, 0, 10 ** 40, -(10 ** 40)])
+def test_dumps_matches_the_standard_library(value):
+    assert dumps(value) == oracle(value)
+
+
+@pytest.mark.parametrize("value", [
+    # a bool list hashes like the int list beside it, in either order
+    {"ints": [1, 1], "bools": [True, 1], "more": [1, True], "again": [1, 1]},
+    {"bools": [True, 1], "ints": [1, 1]},
+    [[1.0, 1], [1, 1], [1, 1.0]],
+    # one list at two depths is indented twice over
+    (lambda edge: {"a": edge, "b": [edge, [edge, {"c": edge}]], "d": edge})([1, 2]),
+    [[1, 2], (1, 2), [[1, 2]], [[[1, 2]]]],
+])
+def test_the_int_list_memo_tells_types_and_depths_apart(value):
+    assert dumps(value) == oracle(value)
+
+
+def test_a_distance_report_is_written_byte_for_byte(tmp_path, capsys):
+    paths = []
+    for name, text in (("a.txt", "agents: 6\ncat: 1 2\ncat: 2 3\ncat: 3 4\ncat: 4 5\ncat: 5 6\n"),
+                       ("b.txt", "agents: 6\ncat: 1 6\ncat: 2 6\ncat: 3 6\ncat: 4 6\ncat: 5 6\n")):
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    assert main(["distance", "--json", *paths]) == 0
+    out = capsys.readouterr().out
+    assert out == oracle(json.loads(out)) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"edges": [[1, 2], {3}]}, {1: "int key"},
+                                   {"nested": {(1, 2): []}}, [object()]])
+def test_a_value_with_no_json_form_raises_from_require(value):
+    with pytest.raises(AssertionError) as excinfo:
+        dumps(value)
+    assert excinfo.traceback[-1].name == "require"
+
+
+@pytest.mark.parametrize("bad", [{3}, {3: "agent"}], ids=["set", "int-key"])
+def test_a_report_with_no_json_form_exits_4_with_one_line(monkeypatch, tmp_path, capsys, bad):
+    (tmp_path / "ghz.txt").write_text("agents: 3\ncat: 1 2 3\n")
+    (tmp_path / "two_epr.txt").write_text("agents: 3\ncat: 1 3\ncat: 2 3\n")
+    monkeypatch.setattr(cli, "witness_to_json", lambda w, direction: {"a_side": bad})
+    code = main(["check", "--json", str(tmp_path / "ghz.txt"), str(tmp_path / "two_epr.txt")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INCONSISTENT
+    assert captured.out == ""
+    assert captured.err.startswith("internal inconsistency: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_no_report_is_written_by_the_standard_library_encoder():
+    src = pathlib.Path(loccgraph.__file__).parent
+    calls = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "json"]
+    assert calls == []

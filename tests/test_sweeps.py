@@ -93,16 +93,24 @@ def test_cat_copy_bound_builds_the_levels_once_per_n(monkeypatch):
 
 
 def test_the_tree_sweeps_share_one_classification_per_n(monkeypatch):
-    classified = []
-    real = sweeps.tree_classes
+    classified, enumerated = [], []
+    real_classes, real_trees = sweeps.tree_classes, sweeps.all_spanning_trees
 
-    def counted(trees):
+    def counted_classes(trees):
         classified.append(trees[0].n)
-        return real(trees)
+        return real_classes(trees)
 
-    monkeypatch.setattr(sweeps, "tree_classes", counted)
+    def counted_trees(n):
+        enumerated.append(n)
+        return real_trees(n)
+
+    monkeypatch.setattr(sweeps, "tree_classes", counted_classes)
+    monkeypatch.setattr(sweeps, "all_spanning_trees", counted_trees)
     report = {s["name"]: s for s in sweeps.run_sweeps(5, [3], seed=0, sample_count=1)}
     assert classified == [3, 4, 5]
+    # the tree-count sweep reads the same catalog as the two tree sweeps
+    assert enumerated == [3, 4, 5]
+    assert report["tree-count"] == {"name": "tree-count", "checked": 3, "failures": []}
     assert report["spanning-tree-incomparability"]["checked"] == 3 + 120 + 7_750
     assert report["cat-copy-bound"]["checked"] == 3 + 16 + 125
 
