@@ -15,23 +15,15 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, require
-from .hypergraph import Hypergraph, is_spanning_epr_tree
+from .hypergraph import Hypergraph, require_tree_pair
 from .merging import DEFAULT_COLOR_BOUND, min_copies_lower_bound
 from .protocols import ProtocolTrace, trees_copies_to_tree
 from .enumeration import all_spanning_trees
 
 
-def _require_trees(t1: Hypergraph, t2: Hypergraph) -> None:
-    for t in (t1, t2):
-        if not is_spanning_epr_tree(t):
-            raise InputError("both inputs must be spanning EPR trees")
-    if t1.agents != t2.agents:
-        raise InputError("trees must span the same agents")
-
-
 def quantum_distance(t1: Hypergraph, t2: Hypergraph) -> int:
     """|edges(t1) \\ edges(t2)|; zero iff the trees coincide."""
-    _require_trees(t1, t2)
+    require_tree_pair(t1, t2)
     return len(set(t1.edges) - set(t2.edges))
 
 

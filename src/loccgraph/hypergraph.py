@@ -210,6 +210,16 @@ def is_spanning_epr_tree(h: Hypergraph) -> bool:
     return len(h.edges) == h.n - 1 and is_connected(h)
 
 
+def require_tree_pair(t1: Hypergraph, t2: Hypergraph) -> None:
+    """Raise InputError unless t1 and t2 are spanning EPR trees over one
+    agent set."""
+    for t in (t1, t2):
+        if not is_spanning_epr_tree(t):
+            raise InputError("both inputs must be spanning EPR trees")
+    if t1.agents != t2.agents:
+        raise InputError("trees must span the same agents")
+
+
 def is_entangled_hypertree(h: Hypergraph) -> bool:
     """True iff h is connected with no pair of agents joined by two
     distinct hyperpaths.

@@ -15,21 +15,24 @@ blocking witness.
 The scans over all 2^(n-1) colorings are bit-parallel (broadword
 computing, Knuth, TAOCP 4A, section 7.1.3): bit m of an integer stands for
 coloring m of `iter_bicolorings`, so one bitwise operation treats every
-coloring at once.  A scan is two steps: `_cut_levels` builds each state's
-level sets (the colorings that cut it v times), and `_first_witness` folds
-a source's and a target's levels into the first witness (`_min_copies`
-folds them into the copy lower bound).  A state's levels depend on nothing
-else, so the tree-pair sweep builds them once per labeled tree and the
-CAT-copy sweep once per class representative, and each folds every pair
-from them.  Every witness the fold emits has both cuts recomputed by the
-per-coloring `bcm_cut`.
+coloring at once.  A scan is two steps: `cut_profiles` builds each state's
+`CutProfile` (its level sets: the colorings that cut it v times), and
+`CutProfile.first_witness` folds a source's and a target's profiles into
+the first witness (`CutProfile.min_copies` folds them into the copy lower
+bound).  A state's profile depends on nothing else, so the tree-pair sweep
+builds it once per labeled tree and the CAT-copy sweep once per class
+representative, and each folds every pair from them.  Every witness the
+fold emits has both cuts recomputed by the per-coloring `bcm_cut`.
+`cheap_cuts` tests a family of single-agent and component cuts with no
+scan at all; the search prunes with it and `structural_witness` reads it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Iterator
 
 from .errors import BoundExceeded, InputError
@@ -112,39 +115,6 @@ def iter_bicolorings(agents, bound: int = DEFAULT_COLOR_BOUND) -> Iterator[Bicol
         yield _coloring(agents, mask)
 
 
-def _cut_levels(agents: tuple[int, ...], *hypergraphs: Hypergraph) -> list[list[int]]:
-    """Level sets of each hypergraph's cut: entry v of its list is the
-    bitset of the colorings (bit m for `_coloring(agents, m)`) that cut it
-    exactly v times.  A hyperedge is bichromatic under the OR of its
-    members' columns (their A-side colorings) minus their AND."""
-    size = 1 << (len(agents) - 1)
-    column = {agents[0]: 0}
-    for i, a in enumerate(agents[1:]):
-        # bit i of m repeats with period 2 << i: (1 << i) zeros, as many ones
-        half = 1 << i
-        bits, width = ((1 << half) - 1) << half, half << 1
-        while width < size:
-            bits |= bits << width
-            width <<= 1
-        column[a] = bits
-    result = []
-    for h in hypergraphs:
-        levels = [(1 << size) - 1]
-        for e in h.edges:
-            some, every = 0, -1
-            for a in e:
-                some |= column[a]
-                every &= column[a]
-            cross = some & ~every
-            keep = ~cross
-            levels.append(levels[-1] & cross)
-            for v in range(len(levels) - 2, 0, -1):
-                levels[v] = (levels[v] & keep) | (levels[v - 1] & cross)
-            levels[0] &= keep
-        result.append(levels)
-    return result
-
-
 def make_witness(source: Hypergraph, target: Hypergraph,
                  coloring: Bicoloring) -> BlockingWitness:
     """Build a witness by recomputing both cuts; raises if it is not one."""
@@ -157,6 +127,84 @@ def make_witness(source: Hypergraph, target: Hypergraph,
     )
 
 
+@dataclass(frozen=True)
+class CutProfile:
+    """A state's cut under every coloring of its agents: entry v of
+    `levels` is the bitset of the colorings (bit m for coloring m of
+    `iter_bicolorings`) that cut the state exactly v times.  Built by
+    `cut_profiles`; two profiles fold into a witness or a copy bound only
+    when they were built over the same agents."""
+
+    state: Hypergraph
+    levels: tuple[int, ...]
+
+    def first_witness(self, target: "CutProfile") -> BlockingWitness | None:
+        """The first coloring, in `iter_bicolorings` order, whose target
+        level lies above this state's level; None when there is none."""
+        below = found = 0
+        for source_level, target_level in zip_longest(self.levels, target.levels[1:],
+                                                      fillvalue=0):
+            below |= source_level  # colorings whose source cut is below the target level
+            found |= target_level & below
+        if not found:
+            return None
+        first = (found & -found).bit_length() - 1
+        return make_witness(self.state, target.state, _coloring(self.state.agents, first))
+
+    def min_copies(self, target: "CutProfile") -> int | float:
+        """`min_copies_lower_bound` of this state and the target, folded
+        from both profiles."""
+        source_levels, target_levels = self.levels, target.levels
+        if source_levels[0] & ~target_levels[0]:
+            return math.inf
+        best: int = 0
+        for v in range(1, len(source_levels)):
+            for w in range(len(target_levels) - 1, 0, -1):
+                if source_levels[v] & target_levels[w]:
+                    best = max(best, -(-w // v))
+                    break
+        return best
+
+
+def cut_profiles(*states: Hypergraph,
+                 color_bound: int = DEFAULT_COLOR_BOUND) -> list[CutProfile]:
+    """The profile of each state, over their common agents.  A hyperedge
+    is bichromatic under the OR of its members' columns (their A-side
+    colorings) minus their AND; the columns are built once for all the
+    states.  Raises unless the states share one agent set within the
+    coloring bound."""
+    agents = states[0].agents
+    if any(h.agents != agents for h in states[1:]):
+        raise InputError("source and target must share one agent set")
+    _check_bound(agents, color_bound)
+    size = 1 << (len(agents) - 1)
+    column = {agents[0]: 0}
+    for i, a in enumerate(agents[1:]):
+        # bit i of m repeats with period 2 << i: (1 << i) zeros, as many ones
+        half = 1 << i
+        bits, width = ((1 << half) - 1) << half, half << 1
+        while width < size:
+            bits |= bits << width
+            width <<= 1
+        column[a] = bits
+    result = []
+    for h in states:
+        levels = [(1 << size) - 1]
+        for e in h.edges:
+            some, every = 0, -1
+            for a in e:
+                some |= column[a]
+                every &= column[a]
+            cross = some & ~every
+            keep = ~cross
+            levels.append(levels[-1] & cross)
+            for v in range(len(levels) - 2, 0, -1):
+                levels[v] = (levels[v] & keep) | (levels[v - 1] & cross)
+            levels[0] &= keep
+        result.append(CutProfile(h, tuple(levels)))
+    return result
+
+
 def find_blocking_witness(source: Hypergraph, target: Hypergraph, *,
                           color_bound: int = DEFAULT_COLOR_BOUND,
                           ) -> BlockingWitness | None:
@@ -167,27 +215,8 @@ def find_blocking_witness(source: Hypergraph, target: Hypergraph, *,
     the transformation is possible; possibility is established only by an
     explicit protocol trace.
     """
-    if source.agents != target.agents:
-        raise InputError("source and target must share one agent set")
-    _check_bound(source.agents, color_bound)
-    return _first_witness(source, target, *_cut_levels(source.agents, source, target))
-
-
-def _first_witness(source: Hypergraph, target: Hypergraph,
-                   source_levels: list[int], target_levels: list[int],
-                   ) -> BlockingWitness | None:
-    """The first coloring, in `iter_bicolorings` order, whose target level
-    lies above its source level, given both level lists from `_cut_levels`
-    over the common agents; None when there is none."""
-    below = found = 0
-    for source_level, target_level in zip_longest(source_levels, target_levels[1:],
-                                                  fillvalue=0):
-        below |= source_level  # colorings whose source cut is below the target level
-        found |= target_level & below
-    if not found:
-        return None
-    first = (found & -found).bit_length() - 1
-    return make_witness(source, target, _coloring(source.agents, first))
+    source_profile, target_profile = cut_profiles(source, target, color_bound=color_bound)
+    return source_profile.first_witness(target_profile)
 
 
 def min_copies_lower_bound(source: Hypergraph, target: Hypergraph, *,
@@ -200,21 +229,54 @@ def min_copies_lower_bound(source: Hypergraph, target: Hypergraph, *,
     some coloring gives the target a positive cut but the source none (no
     number of copies suffices), and 0 when the target has no hyperedges.
     """
-    if source.agents != target.agents:
-        raise InputError("source and target must share one agent set")
-    _check_bound(source.agents, color_bound)
-    return _min_copies(*_cut_levels(source.agents, source, target))
+    source_profile, target_profile = cut_profiles(source, target, color_bound=color_bound)
+    return source_profile.min_copies(target_profile)
 
 
-def _min_copies(source_levels: list[int], target_levels: list[int]) -> int | float:
-    """`min_copies_lower_bound` folded from both level lists of
-    `_cut_levels` over the common agents."""
-    if source_levels[0] & ~target_levels[0]:
-        return math.inf
-    best: int = 0
-    for v in range(1, len(source_levels)):
-        for w in range(len(target_levels) - 1, 0, -1):
-            if source_levels[v] & target_levels[w]:
-                best = max(best, -(-w // v))
-                break
-    return best
+def _find(parent: dict[int, int], x: int) -> int:
+    """Union-find root of x, halving the path on the way; agents absent
+    from `parent` are their own root."""
+    while x in parent:
+        up = parent[x]
+        if up in parent:
+            parent[x] = parent[up]
+        x = up
+    return x
+
+
+def cheap_cuts(target: Hypergraph):
+    """Predicate: the A-side of a coloring of the cheap family that cuts a
+    state *less* than it cuts `target`, or None.  If there is one, no LOCC
+    protocol turns that state into the target, because no move ever raises
+    a bipartition cut.
+
+    The family: every single-agent cut (a state degree below the target's
+    degree; the lowest such agent is returned) and every component cut of
+    the state (a target hyperedge spanning two of its components; the
+    component of the first agent of the least such edge is returned).  The
+    target's side is computed once; each test is then one pass over the
+    agents and edges of the state.  Every member of the family can only
+    shrink along a move, so every descendant of a state it blocks is
+    blocked as well.
+    """
+    target_degree = Counter(chain.from_iterable(target.edges))
+    target_edges = sorted(set(target.edges))
+
+    def blocking_side(state: Hypergraph) -> frozenset[int] | None:
+        short = target_degree - Counter(chain.from_iterable(state.edges))
+        if short:
+            return frozenset({min(short)})
+        parent: dict[int, int] = {}
+        for e in state.edges:
+            root = _find(parent, e[0])
+            for a in e[1:]:
+                other = _find(parent, a)
+                if other != root:
+                    parent[other] = root
+        for e in target_edges:
+            root = _find(parent, e[0])
+            if any(_find(parent, a) != root for a in e[1:]):
+                return frozenset(a for a in state.agents if _find(parent, a) == root)
+        return None
+
+    return blocking_side

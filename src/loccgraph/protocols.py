@@ -18,9 +18,8 @@ terminate.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from typing import Union
 
 from .errors import BoundExceeded, IllegalMove, InputError, require
@@ -32,7 +31,9 @@ from .hypergraph import (
     hyperpath,
     is_spanning_epr_tree,
     reach,
+    require_tree_pair,
 )
+from .merging import cheap_cuts
 
 DEFAULT_SEARCH_BUDGET = 10 ** 6
 
@@ -204,11 +205,7 @@ def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:
     copy manufactures one missing edge of t2 by swapping along the t1 path
     between its endpoints, then discards its leftovers.
     """
-    for t in (t1, t2):
-        if not is_spanning_epr_tree(t):
-            raise InputError("both inputs must be spanning EPR trees")
-    if t1.agents != t2.agents:
-        raise InputError("trees must span the same agents")
+    require_tree_pair(t1, t2)
     missing = sorted(set(t2.edges) - set(t1.edges))
     start = copies(t1, len(missing) + 1)
     moves: list[LoccMove] = []
@@ -253,55 +250,6 @@ def legal_moves(state: Hypergraph) -> list[LoccMove]:
     return moves
 
 
-def _find(parent: dict[int, int], x: int) -> int:
-    """Union-find root of x, halving the path on the way; agents absent
-    from `parent` are their own root."""
-    while x in parent:
-        up = parent[x]
-        if up in parent:
-            parent[x] = parent[up]
-        x = up
-    return x
-
-
-def _cut_pruner(target: Hypergraph):
-    """Predicate: the A-side of a coloring of the prune family that cuts a
-    state *less* than it cuts `target`, or None.  If there is one, no LOCC
-    protocol turns that state into the target, because no move ever raises
-    a bipartition cut.
-
-    The family: every single-agent cut (a state degree below the target's
-    degree; the lowest such agent is returned) and every component cut of
-    the state (a target hyperedge spanning two of its components; the
-    component of the first agent of the least such edge is returned).  The
-    target's side is computed once; each test is then one pass over the
-    agents and edges of the state.  Every member of the family can only
-    shrink along a move, so every descendant of a pruned state is pruned
-    as well.
-    """
-    target_degree = Counter(chain.from_iterable(target.edges))
-    target_edges = sorted(set(target.edges))
-
-    def blocking_side(state: Hypergraph) -> frozenset[int] | None:
-        short = target_degree - Counter(chain.from_iterable(state.edges))
-        if short:
-            return frozenset({min(short)})
-        parent: dict[int, int] = {}
-        for e in state.edges:
-            root = _find(parent, e[0])
-            for a in e[1:]:
-                other = _find(parent, a)
-                if other != root:
-                    parent[other] = root
-        for e in target_edges:
-            root = _find(parent, e[0])
-            if any(_find(parent, a) != root for a in e[1:]):
-                return frozenset(a for a in state.agents if _find(parent, a) == root)
-        return None
-
-    return blocking_side
-
-
 def reachability_search(source: Hypergraph, target: Hypergraph,
                         budget: int = DEFAULT_SEARCH_BUDGET) -> ProtocolTrace | None:
     """Breadth-first search for a shortest LOCC trace source -> target.
@@ -328,7 +276,7 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
         raise InputError("source and target must share one agent set")
     if source == target:
         return make_trace(source, ())
-    cut_below_target = _cut_pruner(target)
+    cut_below_target = cheap_cuts(target)
     if cut_below_target(source) is not None:
         return None
     # the parent map is the visited set; the source maps to None

@@ -23,14 +23,7 @@ from .errors import LoccError, require
 from .enumeration import (all_spanning_trees, random_r_uniform_hypertree,
                           random_spanning_tree, tree_classes)
 from .hypergraph import Hypergraph, cat_state, pendant_vertices
-from .merging import (
-    Bicoloring,
-    _cut_levels,
-    _first_witness,
-    _min_copies,
-    bcm_cut,
-    find_blocking_witness,
-)
+from .merging import Bicoloring, bcm_cut, cut_profiles
 from .protocols import apply_move, cat_copies_to_tree, legal_moves, replay_trace
 from .witnesses import (
     check_order_chain,
@@ -92,9 +85,9 @@ def tree_catalog(n_max: int) -> list:
 def spanning_tree_incomparability(catalog) -> dict:
     sweep = Sweep("spanning-tree-incomparability")
     for n, trees, classes in catalog:
-        # each tree's split table and cut levels are built once, for all its pairs
+        # each tree's split table and cut profile are built once, for all its pairs
         tables = [tree_table(t) for t in trees]
-        levels = _cut_levels(trees[0].agents, *trees)
+        profiles = cut_profiles(*trees)
         for rep, _ in classes:
             r = trees.index(rep)
             for i, t in enumerate(trees):
@@ -103,7 +96,7 @@ def spanning_tree_incomparability(catalog) -> dict:
                 with sweep.case(counted=False, n=n, t1=rep, t2=t):
                     _, witness = split_trees(tables[r], tables[i])
                     require(witness.target_cut > witness.source_cut, "the tree split blocks")
-                    require(_first_witness(rep, t, levels[r], levels[i]) is not None,
+                    require(profiles[r].first_witness(profiles[i]) is not None,
                             "the scan blocks")
         sweep.checked += len(trees) * (len(trees) - 1) // 2  # the labeled pairs covered
     return sweep.report()
@@ -121,12 +114,11 @@ def tree_count(catalog) -> dict:
 def cat_copy_bound(catalog) -> dict:
     sweep = Sweep("cat-copy-bound")
     for n, _, classes in catalog:
-        # the CAT's cut levels are built once, for all the representatives
-        cat_levels, *levels = _cut_levels(classes[0][0].agents, cat_state(n),
-                                          *(rep for rep, _ in classes))
-        for (rep, size), rep_levels in zip(classes, levels):
+        # the CAT's cut profile is built once, for all the representatives
+        cat, *profiles = cut_profiles(cat_state(n), *(rep for rep, _ in classes))
+        for (rep, size), profile in zip(classes, profiles):
             with sweep.case(counted=size, n=n, tree=rep):
-                require(_min_copies(cat_levels, rep_levels) == n - 1,
+                require(cat.min_copies(profile) == n - 1,
                         "the copy lower bound is n - 1")
                 require(cat_copies_to_tree(rep).end == rep, "n - 1 CAT copies make the tree")
     return sweep.report()
@@ -186,8 +178,9 @@ def pendant_condition(seed: int, sample_count: int) -> dict:
             continue
         with sweep.case(h1=h1, h2=h2):
             witness_pendant_condition(h1, h2)
-            require(find_blocking_witness(h1, h2) is not None, "scan finds h1 -/-> h2")
-            require(find_blocking_witness(h2, h1) is not None, "scan finds h2 -/-> h1")
+            c1, c2 = cut_profiles(h1, h2)
+            require(c1.first_witness(c2) is not None, "scan finds h1 -/-> h2")
+            require(c2.first_witness(c1) is not None, "scan finds h2 -/-> h1")
     return sweep.report()
 
 

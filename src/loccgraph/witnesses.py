@@ -32,8 +32,9 @@ from .hypergraph import (
     reach,
     uniformity,
 )
-from .merging import Bicoloring, BlockingWitness, find_blocking_witness, make_witness
-from .protocols import Discard, ProtocolTrace, _cut_pruner, cat_to_epr, make_trace, tree_to_cat
+from .merging import (Bicoloring, BlockingWitness, cheap_cuts, find_blocking_witness,
+                      make_witness)
+from .protocols import Discard, ProtocolTrace, cat_to_epr, make_trace, tree_to_cat
 
 
 # ---------------------------------------------------------------------------
@@ -362,36 +363,27 @@ def find_separating_pair(h1: Hypergraph, h2: Hypergraph) -> SeparatingPair:
     outside = sorted(set(e2) - set(e1))
     require(bool(overlap) and bool(outside), "the least new h2 edge meets and leaves e1")
 
-    pair: tuple[int, int] | None = None
-    if len(overlap) > 1:
-        u1, u2 = overlap[0], overlap[1]
-        for v in outside:
-            if not _co_edge(h1, u1, v):
-                pair = (u1, v)
-                break
-        if pair is None:
-            # every outside vertex meets u1 somewhere in h1, so none of
-            # them can also meet u2 without closing a cycle
-            pair = (u2, outside[0])
+    u1 = overlap[0]
+    v = next((v for v in outside if not _co_edge(h1, u1, v)), None)
+    if v is not None:
+        pair = (u1, v)
+    elif len(overlap) > 1:
+        # every outside vertex meets u1 somewhere in h1, so none of
+        # them can also meet u2 without closing a cycle
+        pair = (overlap[1], outside[0])
     else:
-        u1 = overlap[0]
+        # all outside vertices hang off u1; they cannot all share one
+        # h1 hyperedge (that edge would equal e2), so two of them sit
+        # in different u1 edges and are themselves separated
+        groups: dict[Edge, list[int]] = {}
         for v in outside:
-            if not _co_edge(h1, u1, v):
-                pair = (u1, v)
-                break
-        if pair is None:
-            # all outside vertices hang off u1; they cannot all share one
-            # h1 hyperedge (that edge would equal e2), so two of them sit
-            # in different u1 edges and are themselves separated
-            groups: dict[Edge, list[int]] = {}
-            for v in outside:
-                host = sorted(e for e in set(h1.edges) if u1 in e and v in e)[0]
-                groups.setdefault(host, []).append(v)
-            require(len(groups) >= 2, "the outside vertices sit in two u1 edges")
-            va = outside[0]
-            host_a = next(host for host, vs in groups.items() if va in vs)
-            vb = min(v for host, vs in groups.items() if host != host_a for v in vs)
-            pair = (va, vb)
+            host = sorted(e for e in set(h1.edges) if u1 in e and v in e)[0]
+            groups.setdefault(host, []).append(v)
+        require(len(groups) >= 2, "the outside vertices sit in two u1 edges")
+        va = outside[0]
+        host_a = next(host for host, vs in groups.items() if va in vs)
+        vb = min(v for host, vs in groups.items() if host != host_a for v in vs)
+        pair = (va, vb)
 
     u, v = sorted(pair)
     require(_co_edge(h2, u, v) and not _co_edge(h1, u, v),
@@ -521,12 +513,12 @@ def witness_r_uniform_hypertrees(h1: Hypergraph, h2: Hypergraph,
 
 def structural_witness(source: Hypergraph, target: Hypergraph) -> BlockingWitness | None:
     """A witness built from the states' structure, for pairs too large for
-    the exhaustive scan: the side of the search's cut pruner (a single
-    agent or a component cut), else the witness of two distinct r-uniform
+    the exhaustive scan: the side of `cheap_cuts` (a single agent or a
+    component cut), else the witness of two distinct r-uniform
     hypertrees; None when neither applies."""
     if source.agents != target.agents:
         raise InputError("source and target must share one agent set")
-    side = _cut_pruner(target)(source)
+    side = cheap_cuts(target)(source)
     if side is not None:
         return make_witness(source, target, Bicoloring(source.agents, side))
     try:

@@ -31,8 +31,7 @@ from loccgraph.errors import BoundExceeded, IllegalMove, InputError
 from loccgraph.merging import (
     DEFAULT_COLOR_BOUND,
     BlockingWitness,
-    _cut_levels,
-    _min_copies,
+    cut_profiles,
     iter_bicolorings,
 )
 from loccgraph.enumeration import all_spanning_trees
@@ -97,7 +96,7 @@ def state_pairs(draw, max_n=10):
 @given(state_pairs())
 def test_level_sets_hold_each_coloring_at_its_cut(pair):
     h = pair[0]
-    (levels,) = _cut_levels(h.agents, h)
+    levels = cut_profiles(h)[0].levels
     for mask, coloring in enumerate(iter_bicolorings(h.agents)):
         assert [v for v, level in enumerate(levels) if level >> mask & 1] == [bcm_cut(h, coloring)]
     assert all(level >> (1 << (h.n - 1)) == 0 for level in levels)
@@ -141,10 +140,10 @@ def test_min_copies_covers_infinity_and_zero():
 @given(state_pairs())
 def test_min_copies_fold_matches_the_bound(pair):
     source, target = pair
-    source_levels, target_levels = _cut_levels(source.agents, source, target)
-    for a, b, a_levels, b_levels in ((source, target, source_levels, target_levels),
-                                     (target, source, target_levels, source_levels)):
-        got, expected = _min_copies(a_levels, b_levels), min_copies_lower_bound(a, b)
+    source_profile, target_profile = cut_profiles(source, target)
+    for a, b, a_profile, b_profile in ((source, target, source_profile, target_profile),
+                                       (target, source, target_profile, source_profile)):
+        got, expected = a_profile.min_copies(b_profile), min_copies_lower_bound(a, b)
         assert got == expected and type(got) is type(expected)
 
 
@@ -155,18 +154,19 @@ def test_min_copies_fold_covers_infinity_and_zero():
         (Hypergraph(three, ((1, 2),)), Hypergraph(three), 0),
     ]
     for source, target, expected in cases:
-        assert _min_copies(*_cut_levels(source.agents, source, target)) == expected
+        source_profile, target_profile = cut_profiles(source, target)
+        assert source_profile.min_copies(target_profile) == expected
         assert min_copies_lower_bound(source, target) == expected
 
 
 def test_min_copies_fold_over_shared_cat_levels():
-    # the CAT-copy sweep's shape: one level build for the CAT and every tree
+    # the CAT-copy sweep's shape: one profile build for the CAT and every tree
     for n in (2, 3, 4, 5):
         trees = list(all_spanning_trees(n))
-        cat_levels, *levels = _cut_levels(trees[0].agents, cat_state(n), *trees)
-        for t, t_levels in zip(trees, levels):
-            assert _min_copies(cat_levels, t_levels) == min_copies_lower_bound(cat_state(n), t)
-            assert _min_copies(t_levels, cat_levels) == min_copies_lower_bound(t, cat_state(n))
+        cat, *profiles = cut_profiles(cat_state(n), *trees)
+        for t, profile in zip(trees, profiles):
+            assert cat.min_copies(profile) == min_copies_lower_bound(cat_state(n), t)
+            assert profile.min_copies(cat) == min_copies_lower_bound(t, cat_state(n))
 
 
 def _raised(fn, *args, **kwargs):
@@ -184,7 +184,8 @@ def _raised(fn, *args, **kwargs):
 ])
 def test_errors_and_their_order_match_the_oracle(source, target, bound):
     for kernel, oracle in ((find_blocking_witness, oracle_witness),
-                           (min_copies_lower_bound, oracle_min_copies)):
+                           (min_copies_lower_bound, oracle_min_copies),
+                           (cut_profiles, oracle_witness)):
         assert (_raised(kernel, source, target, color_bound=bound)
                 == _raised(oracle, source, target, color_bound=bound))
 

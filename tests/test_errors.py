@@ -5,6 +5,7 @@ IllegalMove, or an AssertionError from `require` (an internal
 inconsistency, which must survive `python -O`, so no `assert` statement
 may carry it).  Only `hypergraph.py` may build an object with
 `object.__new__`, in its one trusted constructor that skips validation.
+No module imports a `_`-prefixed name from another.
 """
 
 import ast
@@ -57,6 +58,24 @@ def test_trusted_construction_stays_in_hypergraph(path):
         assert len(lines) == 1, "hypergraph.py needs exactly one trusted constructor"
     else:
         assert lines == [], f"{path.name}: object.__new__ outside hypergraph.py"
+
+
+def _private_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each `_`-prefixed, non-dunder name imported from a
+    loccgraph module, relatively or by the package's own name."""
+    return [(node.lineno, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "loccgraph")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    # a name with a leading underscore is its module's own; a module that
+    # needs it from outside needs a public name instead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _private_imports(tree) == [], f"{path.name} imports a private name"
 
 
 def test_errors_module_defines_the_taxonomy():

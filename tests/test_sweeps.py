@@ -79,15 +79,15 @@ def test_failure_fields_are_encoded_in_the_json_report(monkeypatch, capsys):
 
 def test_cat_copy_bound_builds_the_levels_once_per_n(monkeypatch):
     calls = []
-    real = sweeps._cut_levels
+    real = sweeps.cut_profiles
 
-    def counted(agents, *hypergraphs):
-        calls.append(len(hypergraphs))
-        return real(agents, *hypergraphs)
+    def counted(*states, **kwargs):
+        calls.append(len(states))
+        return real(*states, **kwargs)
 
-    monkeypatch.setattr(sweeps, "_cut_levels", counted)
+    monkeypatch.setattr(sweeps, "cut_profiles", counted)
     report = sweeps.cat_copy_bound(sweeps.tree_catalog(5))
-    # every labeled tree is counted; the levels are built for its class's representative
+    # every labeled tree is counted; the profile is built for its class's representative
     assert report == {"name": "cat-copy-bound", "checked": 3 + 16 + 125, "failures": []}
     assert calls == [1 + 1, 1 + 2, 1 + 3]
 

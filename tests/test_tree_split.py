@@ -25,9 +25,8 @@ from loccgraph.errors import InputError, require
 from loccgraph.hypergraph import hyperpath, is_spanning_epr_tree, reach
 from loccgraph.merging import (
     Bicoloring,
-    _cut_levels,
-    _first_witness,
     bcm_cut,
+    cut_profiles,
     iter_bicolorings,
     make_witness,
 )
@@ -165,9 +164,9 @@ def test_tree_split_checks_survive_optimize_flag(patch, claim):
 
 def test_fold_over_shared_levels_matches_the_scan():
     trees = list(all_spanning_trees(4))
-    levels = _cut_levels(trees[0].agents, *trees)
-    for (a, a_levels), (b, b_levels) in itertools.product(zip(trees, levels), repeat=2):
-        folded = _first_witness(a, b, a_levels, b_levels)
+    profiles = cut_profiles(*trees)
+    for (a, a_profile), (b, b_profile) in itertools.product(zip(trees, profiles), repeat=2):
+        folded = a_profile.first_witness(b_profile)
         assert folded == find_blocking_witness(a, b)
         # the first witness in coloring order, one coloring at a time
         first = next((c for c in iter_bicolorings(a.agents)

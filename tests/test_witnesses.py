@@ -33,8 +33,7 @@ from loccgraph import (
 )
 from loccgraph.enumeration import all_spanning_trees, random_spanning_tree
 from loccgraph.errors import BoundExceeded, InputError
-from loccgraph.merging import make_witness
-from loccgraph.protocols import _cut_pruner
+from loccgraph.merging import cheap_cuts, make_witness
 from loccgraph.witnesses import _proper_two_coloring, structural_witness
 
 
@@ -417,7 +416,7 @@ def _past_bound_without_cut(source, target):
     the hypertree step of `structural_witness` can answer."""
     with pytest.raises(BoundExceeded):
         find_blocking_witness(source, target)
-    assert _cut_pruner(target)(source) is None
+    assert cheap_cuts(target)(source) is None
 
 
 def test_structural_witness_is_none_for_a_hypertree_against_a_cycle():
