@@ -469,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, default=0, help="seed for sampled instances"),
         "--color-bound": dict(type=int, default=DEFAULT_COLOR_BOUND,
                               help="max agents for the exhaustive coloring scan (time and "
-                                   "memory double per agent; n = 22 takes about 0.1 s and "
-                                   "18 MiB)"),
+                                   "memory double per agent; n = 22 takes about 0.035 s and "
+                                   "17 MiB)"),
         "--search-budget": dict(type=int, default=DEFAULT_SEARCH_BUDGET,
                                 help="max canonical states for reachability search"),
     }

@@ -45,8 +45,8 @@ def distance_report(t1: Hypergraph, t2: Hypergraph, *,
     coloring scan is limited to `color_bound` agents; soundness of the
     move calculus guarantees it never exceeds copies_upper.
     """
-    qd = quantum_distance(t1, t2)
-    trace = trees_copies_to_tree(t1, t2)
+    trace = trees_copies_to_tree(t1, t2)  # validates the pair once
+    qd = len(set(t1.edges) - set(t2.edges))
     if qd == 0:
         lower = 1
     else:

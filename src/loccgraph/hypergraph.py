@@ -65,8 +65,12 @@ class Hypergraph:
 
     @property
     def size_total(self) -> int:
-        """Sum of hyperedge sizes; strictly decreases under every LOCC move."""
-        return sum(map(len, self.edges))
+        """Sum of hyperedge sizes; strictly decreases under every LOCC move.
+        It is carried: `replace` and `copies` derive it from their parent's
+        size, and any other state sums its edges once, on first read."""
+        if "_size" not in self.__dict__:
+            object.__setattr__(self, "_size", sum(map(len, self.edges)))
+        return self._size
 
     def degree(self, agent: int) -> int:
         """Number of hyperedge instances containing the agent."""
@@ -76,8 +80,9 @@ class Hypergraph:
         """New hypergraph with one instance of each `remove` edge swapped
         for the `add` edges.  Raises IllegalMove if an instance is absent.
         Only the `add` edges are validated; the result is built by
-        `_trusted`."""
+        `_trusted`, its size carried from this state's."""
         pool = list(self.edges)
+        size = self.size_total
         for edge in remove:
             e = tuple(sorted(edge))
             try:
@@ -87,20 +92,23 @@ class Hypergraph:
             if i == len(pool) or pool[i] != e:
                 raise IllegalMove(f"hyperedge {e} is not in the state")
             del pool[i]
+            size -= len(e)
         if add:  # a discard adds nothing, so it needs no agent set
             known = set(self.agents)
             for edge in add:
-                insort(pool, self._canonical(edge, known))
-        return _trusted(self.agents, tuple(pool))
+                insort(pool, e := self._canonical(edge, known))
+                size += len(e)
+        return _trusted(self.agents, tuple(pool), size)
 
 
-def _trusted(agents: tuple[int, ...], edges: tuple[Edge, ...]) -> Hypergraph:
+def _trusted(agents: tuple[int, ...], edges: tuple[Edge, ...], size: int) -> Hypergraph:
     """A Hypergraph from parts already in canonical form (sorted agents,
-    sorted edges of known agents, sorted edge tuple), built without
-    `__post_init__`.  Callers vouch for the form."""
+    sorted edges of known agents, sorted edge tuple) and its size_total,
+    built without `__post_init__`.  Callers vouch for both."""
     h = object.__new__(Hypergraph)
     object.__setattr__(h, "agents", agents)
     object.__setattr__(h, "edges", edges)
+    object.__setattr__(h, "_size", size)
     return h
 
 
@@ -137,7 +145,7 @@ def copies(h: Hypergraph, k: int) -> Hypergraph:
     repeated k times in place keeps the edge tuple sorted."""
     if k < 1:
         raise InputError("need at least one copy")
-    return _trusted(h.agents, tuple(e for e in h.edges for _ in range(k)))
+    return _trusted(h.agents, tuple(e for e in h.edges for _ in range(k)), k * h.size_total)
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +160,24 @@ def reach(h: Hypergraph, start: int, skip: Edge | None = None,
     Returns the reached agents in discovery order, each mapped to the
     (agent, hyperedge) it was first reached through; `start` maps to None.
     Discovery order puts every agent after the agent it was reached from.
+    Each state's agent -> hyperedge index is built once, on its first walk.
     """
-    index: dict[int, list[Edge]] = {a: [] for a in h.agents}
-    for e in h.edges:
-        if e != skip:
+    index = h.__dict__.get("_index")
+    if index is None:
+        index = {a: [] for a in h.agents}
+        for e in h.edges:
             for a in e:
                 index[a].append(e)
+        object.__setattr__(h, "_index", index)
     via: dict[int, tuple[int, Edge] | None] = {start: None}
     frontier = [start]
     for x in frontier:
         for e in index[x]:
-            for y in e:
-                if y not in via:
-                    via[y] = (x, e)
-                    frontier.append(y)
+            if e != skip:
+                for y in e:
+                    if y not in via:
+                        via[y] = (x, e)
+                        frontier.append(y)
     return via
 
 

@@ -19,12 +19,17 @@ coloring at once.  A scan is two steps: `cut_profiles` builds each state's
 `CutProfile` (its level sets: the colorings that cut it v times), and
 `CutProfile.first_witness` folds a source's and a target's profiles into
 the first witness (`CutProfile.min_copies` folds them into the copy lower
-bound).  A state's profile depends on nothing else, so the tree-pair sweep
-builds it once per labeled tree and the CAT-copy sweep once per class
-representative, and each folds every pair from them.  Every witness the
-fold emits has both cuts recomputed by the per-coloring `bcm_cut`.
-`cheap_cuts` tests a family of single-agent and component cuts with no
-scan at all; the search prunes with it and `structural_witness` reads it.
+bound).  `cut_profiles` counts bit-sliced: plane j of a state's counter
+holds the colorings whose cut has bit j set, and each hyperedge's
+bichromatic set enters with a ripple carry, O(log cut) operations per
+edge.  A decoder then splits all colorings on each plane, top plane first,
+which leaves the level sets in cut order.  A state's profile depends on
+nothing else, so the tree-pair sweep builds it once per labeled tree and
+the CAT-copy sweep once per class representative, and each folds every
+pair from them.  Every witness the fold emits has both cuts recomputed by
+the per-coloring `bcm_cut`.  `cheap_cuts` tests a family of single-agent
+and component cuts with no scan at all; the search prunes with it and
+`structural_witness` reads it.
 """
 
 from __future__ import annotations
@@ -171,13 +176,16 @@ def cut_profiles(*states: Hypergraph,
     """The profile of each state, over their common agents.  A hyperedge
     is bichromatic under the OR of its members' columns (their A-side
     colorings) minus their AND; the columns are built once for all the
-    states.  Raises unless the states share one agent set within the
-    coloring bound."""
+    states.  Raises unless there is a state and the states share one agent
+    set within the coloring bound."""
+    if not states:
+        raise InputError("no state to profile")
     agents = states[0].agents
     if any(h.agents != agents for h in states[1:]):
         raise InputError("source and target must share one agent set")
     _check_bound(agents, color_bound)
     size = 1 << (len(agents) - 1)
+    full = (1 << size) - 1
     column = {agents[0]: 0}
     for i, a in enumerate(agents[1:]):
         # bit i of m repeats with period 2 << i: (1 << i) zeros, as many ones
@@ -189,19 +197,28 @@ def cut_profiles(*states: Hypergraph,
         column[a] = bits
     result = []
     for h in states:
-        levels = [(1 << size) - 1]
+        planes: list[int] = []  # plane j: the colorings whose cut has bit j set
         for e in h.edges:
-            some, every = 0, -1
-            for a in e:
+            some = every = column[e[0]]
+            for a in e[1:]:
                 some |= column[a]
                 every &= column[a]
-            cross = some & ~every
-            keep = ~cross
-            levels.append(levels[-1] & cross)
-            for v in range(len(levels) - 2, 0, -1):
-                levels[v] = (levels[v] & keep) | (levels[v - 1] & cross)
-            levels[0] &= keep
-        result.append(CutProfile(h, tuple(levels)))
+            carry = some ^ every  # the colorings that cut e
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:  # carry is never 0 here: some coloring splits every edge
+                planes.append(carry)
+        levels = [full]
+        for plane in reversed(planes):
+            rest, parents, levels = full ^ plane, levels[::-1], []
+            while parents:  # popped, so each parent set is freed once split
+                level = parents.pop()
+                levels += (level & rest, level & plane)
+        cap = len(h.edges) + 1
+        result.append(CutProfile(h, tuple(levels[:cap]) + (0,) * (cap - len(levels))))
     return result
 
 

@@ -120,7 +120,7 @@ class ProtocolTrace:
 def make_trace(start: Hypergraph, moves) -> ProtocolTrace:
     """Build a trace by replaying the moves, checking every precondition
     and the strict decrease of the size potential.  Each state's size is
-    summed once and carried to the next move."""
+    read once, from the state the move returned, which carries it."""
     moves = tuple(moves)
     state, size = start, start.size_total
     for move in moves:

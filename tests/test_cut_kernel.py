@@ -21,6 +21,7 @@ from loccgraph import (
     apply_move,
     bcm_cut,
     cat_state,
+    copies,
     find_blocking_witness,
     legal_moves,
     min_copies_lower_bound,
@@ -65,6 +66,30 @@ def oracle_min_copies(source, target, *, color_bound=DEFAULT_COLOR_BOUND):
     return best
 
 
+def oracle_levels(h):
+    """The level sets as the kernel built them before its bit-sliced
+    counters: each edge shifts every level set up by the colorings that
+    cut it, O(levels) operations per edge."""
+    agents = h.agents
+    size = 1 << (len(agents) - 1)
+    column = {a: sum(1 << m for m in range(size) if m >> i & 1)
+              for i, a in enumerate(agents[1:])}
+    column[agents[0]] = 0
+    levels = [(1 << size) - 1]
+    for e in h.edges:
+        some, every = 0, -1
+        for a in e:
+            some |= column[a]
+            every &= column[a]
+        cross = some & ~every
+        keep = ~cross
+        levels.append(levels[-1] & cross)
+        for v in range(len(levels) - 2, 0, -1):
+            levels[v] = (levels[v] & keep) | (levels[v - 1] & cross)
+        levels[0] &= keep
+    return tuple(levels)
+
+
 def oracle_replace(h, remove=(), add=()):
     pool = list(h.edges)
     for edge in remove:
@@ -100,6 +125,44 @@ def test_level_sets_hold_each_coloring_at_its_cut(pair):
     for mask, coloring in enumerate(iter_bicolorings(h.agents)):
         assert [v for v, level in enumerate(levels) if level >> mask & 1] == [bcm_cut(h, coloring)]
     assert all(level >> (1 << (h.n - 1)) == 0 for level in levels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_pairs(max_n=12))
+def test_bit_sliced_levels_match_the_level_shift_oracle(pair):
+    for h, profile in zip(pair, cut_profiles(*pair)):
+        assert profile.state is h
+        assert profile.levels == oracle_levels(h)
+        assert len(profile.levels) == len(h.edges) + 1
+
+
+@pytest.mark.parametrize("h", [
+    pytest.param(Hypergraph((7,)), id="one-agent"),
+    pytest.param(Hypergraph((1, 2, 3)), id="edgeless"),
+    pytest.param(Hypergraph((1, 2), ((1, 2),) * 9), id="one-edge-nine-times"),
+    pytest.param(copies(path_tree(7), 5), id="path-copies"),
+    pytest.param(copies(cat_state(6), 8), id="cat-copies"),
+    pytest.param(copies(star_tree(12), 3), id="star-copies"),
+    pytest.param(copies(Hypergraph((1, 2, 3), ((1, 2), (1, 3), (2, 3))), 3),
+                 id="triangle-copies"),
+    pytest.param(Hypergraph((1, 2, 3, 4), ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))),
+                 id="complete-graph"),
+])
+def test_bit_sliced_levels_keep_trailing_zeros(h):
+    # an equal pair shares one agent set.  Cuts above the largest one
+    # reached stay as zero entries up to the edge count, whether the
+    # decoder yields fewer entries (triangle copies: 8 for 10) or more
+    # (complete graph: 8 for 7).
+    profiles = cut_profiles(h, h)
+    assert [p.levels for p in profiles] == [oracle_levels(h)] * 2
+    assert len(profiles[0].levels) == len(h.edges) + 1
+
+
+def test_profiling_no_state_is_an_input_error():
+    with pytest.raises(InputError, match="no state to profile"):
+        cut_profiles()
+    with pytest.raises(InputError, match="no state to profile"):
+        cut_profiles(color_bound=3)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 """Quantum distance and copy-count bounds."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -14,6 +15,7 @@ from loccgraph import (
     replay_trace,
     star_tree,
 )
+from loccgraph import hypergraph
 from loccgraph.enumeration import random_spanning_tree
 from loccgraph.errors import InputError
 
@@ -25,10 +27,21 @@ def test_distance_examples():
 
 
 def test_distance_rejects_non_trees():
-    with pytest.raises(InputError, match="both inputs must be spanning EPR trees"):
-        quantum_distance(cat_state(3), path_tree(3))
-    with pytest.raises(InputError, match="trees must span the same agents"):
-        quantum_distance(path_tree(3), path_tree(4))
+    for fn in (quantum_distance, distance_report):
+        with pytest.raises(InputError, match="both inputs must be spanning EPR trees"):
+            fn(cat_state(3), path_tree(3))
+        with pytest.raises(InputError, match="both inputs must be spanning EPR trees"):
+            fn(path_tree(3), cat_state(3))
+        with pytest.raises(InputError, match="trees must span the same agents"):
+            fn(path_tree(3), path_tree(4))
+
+
+def test_a_report_validates_each_tree_once():
+    for t1, t2 in ((path_tree(6), star_tree(6)), (path_tree(5), path_tree(5))):
+        with mock.patch.object(hypergraph, "is_spanning_epr_tree",
+                               wraps=hypergraph.is_spanning_epr_tree) as check:
+            distance_report(t1, t2)
+        assert [c.args for c in check.call_args_list] == [(t1,), (t2,)]
 
 
 def test_report_for_distinct_stars():

@@ -141,6 +141,23 @@ def test_a_trace_broken_by_a_foreign_move_fails_like_the_oracle(start, other, se
     assert _outcome(make_trace, start, moves) == _outcome(oracle_make_trace, start, moves)
 
 
+@settings(max_examples=300, deadline=None)
+@given(states(), st.integers(1, 4), st.integers(0, 10 ** 6), st.integers(0, 16))
+def test_the_carried_size_is_the_sum_of_edge_sizes(h, k, seed, length):
+    # `copies` and every move carry the size from their parent: it is in
+    # place before the first read, and it is the sum of the edge sizes
+    rng = random.Random(seed)
+    for state in (h, copies(h, k)):
+        for _ in range(length + 1):
+            if state is not h:
+                assert vars(state)["_size"] == oracle_size_total(state)
+            assert state.size_total == oracle_size_total(state)
+            options = legal_moves(state)
+            if not options:
+                break
+            state = apply_move(state, rng.choice(options))
+
+
 def test_a_generator_of_moves_is_kept_in_the_trace():
     moves = [MeasureOut(edge=(1, 2, 3), agent=2)]
     start = Hypergraph((1, 2, 3), ((1, 2, 3),))

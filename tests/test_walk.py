@@ -30,6 +30,25 @@ def _incidence(h):
     return index
 
 
+def oracle_reach(h, start, skip=None):
+    """`reach` as it was before the index was kept with the state: a new
+    index, without the `skip` instances, on every call."""
+    index = {a: [] for a in h.agents}
+    for e in h.edges:
+        if e != skip:
+            for a in e:
+                index[a].append(e)
+    via = {start: None}
+    frontier = [start]
+    for x in frontier:
+        for e in index[x]:
+            for y in e:
+                if y not in via:
+                    via[y] = (x, e)
+                    frontier.append(y)
+    return via
+
+
 def oracle_is_connected(h):
     if h.n == 1:
         return True
@@ -207,6 +226,17 @@ def test_walk_without_an_edge_matches_oracle(h):
             for y, (x, e) in list(via.items())[1:]:
                 assert order.index(x) < order.index(y)
                 assert x in e and y in e and e != skip
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_structure, st.data())
+def test_walk_matches_the_per_call_index_oracle(h, data):
+    # one state serves every start and skip, so its kept index is reused;
+    # skips are absent, present once or repeated, or an edge of no state
+    skips = [None, *sorted(set(h.edges)), tuple(h.agents[:2]), (-1, -2)]
+    for skip in data.draw(st.permutations(skips)):
+        for v in h.agents:
+            assert list(reach(h, v, skip=skip).items()) == list(oracle_reach(h, v, skip).items())
 
 
 @settings(max_examples=300, deadline=None)
