@@ -52,75 +52,79 @@ _INF = float("inf")
 
 
 def dumps(obj) -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte, for every report.
+    """`json.dumps(obj, indent=2)`, byte for byte, for every report, where
+    a package value is written as its `to_json` form.
 
     The standard library's C encoder serves only unindented output, so
-    `indent=2` runs a pure-Python generator per value.  This writer appends
-    to one list and joins once.  A list of plain ints is one `join`, and
-    its text is kept for the rest of the call, keyed by its depth and
-    values, because a trace repeats its edges from state to state.  A value
-    with no JSON form, such as a set or a non-string key, is an internal
-    inconsistency."""
-    out: list[str] = []
-    append = out.append
+    `indent=2` runs a pure-Python generator per value.  Here each value
+    returns its text, given `indent`, a newline and the indent of its
+    closing line; a container joins its children's text, each written one
+    level deeper.  A list of plain ints is one `join`, and its text is kept
+    for the rest of the call, keyed by its indent and values, because a
+    trace repeats its edges from state to state.  A value with no JSON form,
+    such as a set or a non-string key, is an internal inconsistency."""
     int_lists: dict = {}
 
-    def emit(value, depth: int) -> None:
+    def text(value, indent: str) -> str:
         # containers first: they are most of a report
         if isinstance(value, (list, tuple)):
             if not value:
-                append("[]")
-                return
-            inner = "\n" + "  " * (depth + 1)
+                return "[]"
+            inner = indent + "  "
             if set(map(type, value)) == {int}:  # the type test keeps bools out
-                key = (depth, *value)
-                text = int_lists.get(key)
-                if text is None:
-                    text = int_lists[key] = ("[" + inner + ("," + inner).join(map(str, value))
-                                             + "\n" + "  " * depth + "]")
-                append(text)
-                return
-            sep = "[" + inner
-            for item in value:
-                append(sep)
-                emit(item, depth + 1)
-                sep = "," + inner
-            append("\n" + "  " * depth + "]")
-        elif isinstance(value, dict):
+                key = (indent, *value)
+                if key not in int_lists:
+                    int_lists[key] = "[" + inner + f",{inner}".join(map(str, value)) + indent + "]"
+                return int_lists[key]
+            items = [text(item, inner) for item in value]
+            return "[" + inner + f",{inner}".join(items) + indent + "]"
+        if isinstance(value, dict):
             if not value:
-                append("{}")
-                return
-            inner = "\n" + "  " * (depth + 1)
-            sep = "{" + inner
+                return "{}"
+            inner = indent + "  "
+            parts = []
             for key, item in value.items():
                 if not isinstance(key, str):  # the message is formatted only for a bad key
                     require(False, f"a report key is not a string: {key!r}")
-                append(sep + encode_basestring_ascii(key) + ": ")
-                emit(item, depth + 1)
-                sep = "," + inner
-            append("\n" + "  " * depth + "}")
-        elif isinstance(value, str):
-            append(encode_basestring_ascii(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif isinstance(value, float):
-            append("NaN" if value != value else "Infinity" if value == _INF
-                   else "-Infinity" if value == -_INF else float.__repr__(value))
-        else:
-            require(False, f"a report value has no JSON form: {value!r}")
+                parts.append(encode_basestring_ascii(key) + ": " + text(item, inner))
+            return "{" + inner + f",{inner}".join(parts) + indent + "}"
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return ("NaN" if value != value else "Infinity" if value == _INF
+                    else "-Infinity" if value == -_INF else float.__repr__(value))
+        return text(to_json(value), indent)
 
-    emit(obj, 0)
-    return "".join(out)
+    return text(obj, "\n")
 
 
-def state_to_json(h: Hypergraph) -> dict:
-    return {"agents": list(h.agents), "edges": [list(e) for e in h.edges]}
+MOVE_FIELDS = {cls: tuple(f.name for f in fields(cls))
+               for cls in (Discard, MeasureOut, Swap, CatExpand)}
+MOVE_KINDS = {cls.kind: cls for cls in MOVE_FIELDS}
+
+
+def to_json(value):
+    """The JSON form of a package value: a state, a move, a trace or a
+    coloring.  The form may hold tuples and other package values, which
+    `dumps` writes in turn.  A move's keys are its kind and then its fields,
+    in `MOVE_FIELDS` order."""
+    if type(value) in MOVE_FIELDS:
+        return {"kind": value.kind, **vars(value)}
+    if isinstance(value, Hypergraph):
+        return {"agents": value.agents, "edges": value.edges}
+    if isinstance(value, ProtocolTrace):
+        return {"start": value.start, "moves": value.moves, "end": value.end}
+    if isinstance(value, Bicoloring):
+        return value.bits()
+    require(False, f"a report value has no JSON form: {value!r}")
 
 
 def _require_integers(members, what: str, value) -> None:
@@ -154,19 +158,6 @@ def witness_from_json(data: dict, agents) -> BlockingWitness:
     return BlockingWitness(coloring, data["source_cut"], data["target_cut"])
 
 
-MOVE_FIELDS = {cls: tuple(f.name for f in fields(cls))
-               for cls in (Discard, MeasureOut, Swap, CatExpand)}
-MOVE_KINDS = {cls.kind: cls for cls in MOVE_FIELDS}
-
-
-def move_to_json(m: LoccMove) -> dict:
-    out: dict = {"kind": m.kind}
-    for name in MOVE_FIELDS[type(m)]:
-        value = getattr(m, name)
-        out[name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 def move_from_json(data: dict) -> LoccMove:
     kind = data["kind"]
     cls = MOVE_KINDS.get(kind)
@@ -179,14 +170,6 @@ def move_from_json(data: dict) -> LoccMove:
                           f"{kind} move field {name!r}", value)
     return cls(**{name: value if name == "agent" else tuple(value)
                   for name, value in values.items()})
-
-
-def trace_to_json(t: ProtocolTrace) -> dict:
-    return {
-        "start": state_to_json(t.start),
-        "moves": [move_to_json(m) for m in t.moves],
-        "end": state_to_json(t.end),
-    }
 
 
 def trace_from_json(data: dict) -> ProtocolTrace:
@@ -203,18 +186,6 @@ def trace_from_json(data: dict) -> ProtocolTrace:
     if trace.end != end:
         raise InputError("trace end state does not replay")
     return trace
-
-
-def _field_to_json(value):
-    """A field of a sweep failure: states, moves and colorings are encoded,
-    the rest is JSON already."""
-    if isinstance(value, Hypergraph):
-        return state_to_json(value)
-    if isinstance(value, tuple(MOVE_FIELDS)):
-        return move_to_json(value)
-    if isinstance(value, Bicoloring):
-        return value.bits()
-    return value
 
 
 def _read(path: str) -> tuple[str, bytes]:
@@ -318,7 +289,7 @@ def cmd_check(args) -> int:
         if d.witness is not None:
             out["witness"] = witness_to_json(d.witness, direction)
         if d.trace is not None:
-            out["trace"] = trace_to_json(d.trace)
+            out["trace"] = d.trace
         if d.note:
             out["note"] = d.note
     report["classification"] = verdict.classification
@@ -347,7 +318,7 @@ def cmd_distance(args) -> int:
             "copies_lower": report.copies_lower,
             "copies_upper": report.copies_upper,
             "qubit_upper": report.qubit_upper,
-            "upper_trace": trace_to_json(report.upper_trace),
+            "upper_trace": report.upper_trace,
         }))
     else:
         print(f"quantum distance: {report.qd}")
@@ -368,11 +339,11 @@ def cmd_protocol(args) -> int:
         print("no protocol found (search exhausted or blocked by a cut)", file=sys.stderr)
         return EXIT_UNKNOWN
     if args.json:
-        print(dumps(trace_to_json(trace)))
+        print(dumps(trace))
     else:
         print(f"found a {len(trace.moves)}-move protocol:")
         for m in trace.moves:
-            print(f"  {move_to_json(m)}")
+            print(f"  {json.loads(dumps(m))}")  # its JSON form as a Python dict
     return EXIT_OK
 
 
@@ -443,9 +414,6 @@ def cmd_verify_theorems(args) -> int:
         if not args.json:
             print(f"{sweep['name']}: {sweep['checked']} checked, {status}")
     if args.json:
-        for sweep in sweeps:
-            sweep["failures"] = [{key: _field_to_json(value) for key, value in failure.items()}
-                                 for failure in sweep["failures"]]
         print(dumps({"version": __version__, "sweeps": sweeps}))
     return EXIT_OK if not failed else 1
 

@@ -275,6 +275,13 @@ def cheap_cuts(target: Hypergraph):
     agents and edges of the state.  Every member of the family can only
     shrink along a move, so every descendant of a state it blocks is
     blocked as well.
+
+    The components come from a union-find local to the call, not from
+    `hypergraph.components`: that walks through `reach`, which keeps an
+    agent index on each state it walks, and the search holds every state
+    it discovers.  With `components` here, `reachability_search(path_tree(16),
+    cat_state(16), budget=200_000)` took 11.1 s at 115 MiB peak RSS instead
+    of 9.1 s at 86 MiB (one run each, Python 3.11, shared 2-core VM).
     """
     target_degree = Counter(chain.from_iterable(target.edges))
     target_edges = sorted(set(target.edges))

@@ -17,8 +17,10 @@ from loccgraph import (
     Swap,
     apply_move,
     bcm_cut,
+    cat_state,
     format_hypergraph,
     parse_hypergraph,
+    path_tree,
 )
 from loccgraph.cli import (
     EXIT_INPUT,
@@ -26,10 +28,11 @@ from loccgraph.cli import (
     EXIT_UNKNOWN,
     MOVE_FIELDS,
     build_parser,
+    dumps,
     main,
     move_from_json,
-    move_to_json,
     state_from_json,
+    to_json,
     trace_from_json,
     witness_from_json,
 )
@@ -175,6 +178,28 @@ def test_protocol_and_replay_round_trip(tmp_path, capsys):
     assert "replay OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("source,target,expected", [
+    (format_hypergraph(path_tree(5)), format_hypergraph(cat_state(5)),
+     "found a 3-move protocol:\n"
+     "  {'kind': 'cat_expand', 'edge': [1, 2], 'pair': [2, 3]}\n"
+     "  {'kind': 'cat_expand', 'edge': [1, 2, 3], 'pair': [3, 4]}\n"
+     "  {'kind': 'cat_expand', 'edge': [1, 2, 3, 4], 'pair': [4, 5]}\n"),
+    # one move of every kind
+    ("agents: 5\ncat: 1 2\ncat: 1 2 3\ncat: 3 4\ncat: 4 5\n", "agents: 5\ncat: 1 3 5\n",
+     "found a 4-move protocol:\n"
+     "  {'kind': 'discard', 'edge': [1, 2]}\n"
+     "  {'kind': 'measure_out', 'edge': [1, 2, 3], 'agent': 2}\n"
+     "  {'kind': 'swap', 'left': [3, 4], 'right': [4, 5]}\n"
+     "  {'kind': 'cat_expand', 'edge': [1, 3], 'pair': [3, 5]}\n"),
+], ids=["path5-cat5", "every-kind"])
+def test_protocol_text_prints_each_move_as_a_dict_with_list_edges(tmp_path, capsys, source,
+                                                                  target, expected):
+    a = write_state(tmp_path, "a.txt", source)
+    b = write_state(tmp_path, "b.txt", target)
+    assert main(["protocol", a, b]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
 def test_protocol_reports_unknown(tmp_path, capsys):
     a = write_state(tmp_path, "a.txt", "agents: 3\ncat: 1 2 3\n")
     b = write_state(tmp_path, "b.txt", "agents: 3\ncat: 1 3\ncat: 2 3\n")
@@ -234,8 +259,7 @@ def test_verify_theorems_json(capsys):
 
 def test_state_json_round_trip():
     h = Hypergraph((1, 2, 3, 4), ((1, 2, 3), (3, 4), (3, 4)))
-    from loccgraph.cli import state_to_json
-    assert state_from_json(state_to_json(h)) == h
+    assert state_from_json(json.loads(dumps(h))) == h
     assert parse_hypergraph(format_hypergraph(h)) == h
 
 
@@ -407,12 +431,11 @@ def test_replay_rejects_malformed_trace(tmp_path, capsys, payload, field):
 
 def test_replay_applies_each_move_once(tmp_path, monkeypatch, capsys):
     import loccgraph.protocols as protocols
-    from loccgraph import cat_copies_to_tree, path_tree
-    from loccgraph.cli import trace_to_json
+    from loccgraph import cat_copies_to_tree
 
     trace = cat_copies_to_tree(path_tree(4))
     trace_file = tmp_path / "trace.json"
-    trace_file.write_text(json.dumps(trace_to_json(trace)))
+    trace_file.write_text(dumps(trace))
     applied = []
 
     def counting_apply_move(state, move):
@@ -693,7 +716,7 @@ def test_theorem_sweeps_survive_optimize_flag():
     (CatExpand((1, 2, 3), (3, 4)), ["kind", "edge", "pair"]),
 ])
 def test_move_codec_round_trips_in_key_order(move, keys):
-    data = move_to_json(move)
+    data = to_json(move)
     assert list(data) == keys
     assert move_from_json(json.loads(json.dumps(data))) == move
 

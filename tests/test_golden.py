@@ -14,9 +14,11 @@ import contextlib
 import io
 import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
+import loccgraph
 from loccgraph import cat_state, copies, format_hypergraph, path_tree, star_tree
 from loccgraph.cli import main
 from loccgraph.enumeration import random_r_uniform_hypertree
@@ -130,6 +132,19 @@ def transcript(workdir) -> str:
 
 def test_cli_transcript_is_unchanged(tmp_path):
     assert transcript(tmp_path) == GOLDEN.read_text()
+
+
+def test_cli_transcript_is_unchanged_under_optimize_and_a_fixed_hash_seed(tmp_path):
+    # a child without assert statements and with its own string hash order
+    script = ("import sys, test_golden\n"
+              "sys.stdout.buffer.write(test_golden.transcript(sys.argv[1]).encode())\n")
+    src = pathlib.Path(loccgraph.__file__).parent.parent
+    env = {**os.environ, "PYTHONHASHSEED": "12345",
+           "PYTHONPATH": os.pathsep.join([str(src), str(GOLDEN.parent.parent)])}
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(tmp_path)],
+                          env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == GOLDEN.read_text().encode()
 
 
 if __name__ == "__main__":
