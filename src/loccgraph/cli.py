@@ -313,13 +313,7 @@ def cmd_distance(args) -> int:
     t2 = _read_state(args.target)
     report = distance_report(t1, t2, color_bound=args.color_bound)
     if args.json:
-        print(dumps({
-            "qd": report.qd,
-            "copies_lower": report.copies_lower,
-            "copies_upper": report.copies_upper,
-            "qubit_upper": report.qubit_upper,
-            "upper_trace": report.upper_trace,
-        }))
+        print(dumps(vars(report)))
     else:
         print(f"quantum distance: {report.qd}")
         print(f"copies needed: between {report.copies_lower} and {report.copies_upper}")

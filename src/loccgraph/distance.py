@@ -29,6 +29,7 @@ def quantum_distance(t1: Hypergraph, t2: Hypergraph) -> int:
 
 @dataclass(frozen=True)
 class DistanceReport:
+    """Its fields, in this order, are the keys of `distance --json`."""
     qd: int
     copies_lower: int          # >= 2 for distinct trees, 1 when equal
     copies_upper: int          # qd + 1

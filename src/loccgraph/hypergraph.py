@@ -214,12 +214,9 @@ def is_connected(h: Hypergraph) -> bool:
 
 
 def is_spanning_epr_tree(h: Hypergraph) -> bool:
-    """True iff h is 2-uniform, multiplicity-free, connected and acyclic."""
-    if any(len(e) != 2 for e in h.edges):
-        return False
-    if len(set(h.edges)) != len(h.edges):
-        return False
-    return len(h.edges) == h.n - 1 and is_connected(h)
+    """True iff h is a 2-uniform entangled hypertree: connected, acyclic
+    and multiplicity-free, with n - 1 EPR pairs."""
+    return all(len(e) == 2 for e in h.edges) and is_entangled_hypertree(h)
 
 
 def require_tree_pair(t1: Hypergraph, t2: Hypergraph) -> None:
@@ -239,13 +236,11 @@ def is_entangled_hypertree(h: Hypergraph) -> bool:
     Implemented via the incidence-graph criterion: the bipartite graph with
     agents on one side and hyperedge instances on the other (membership as
     edges) must be a tree.  Duplicate hyperedges always create a cycle
-    there, so hypertrees are automatically multiplicity-free.
+    there, so hypertrees are automatically multiplicity-free.  The
+    incidence graph's link count (`size_total`) is compared with its node
+    count before the walk, so a state whose counts differ costs no walk.
     """
-    if not is_connected(h):
-        return False
-    nodes = h.n + len(h.edges)
-    links = h.size_total
-    return links == nodes - 1
+    return h.size_total == h.n + len(h.edges) - 1 and is_connected(h)
 
 
 def uniformity(h: Hypergraph) -> int | None:

@@ -48,15 +48,10 @@ def _co_edge(h: Hypergraph, a: int, b: int) -> bool:
 
 def _proper_two_coloring(t: Hypergraph) -> frozenset[int]:
     """A-side of the proper 2-coloring of a tree: the smaller depth-parity
-    class (ties broken to the class not containing the lowest agent)."""
-    odd_depth: dict[int, bool] = {}
-    for y, step in reach(t, t.agents[0]).items():
-        odd_depth[y] = step is not None and not odd_depth[step[0]]
-    even = frozenset(a for a, o in odd_depth.items() if not o)
-    odd = frozenset(a for a, o in odd_depth.items() if o)
-    if len(odd) != len(even):
-        return min(odd, even, key=len)
-    return odd  # root is even
+    class of its `tree_table` (ties broken to the class not containing the
+    lowest agent, the table's root)."""
+    odd = frozenset(a for a, d in zip(t.agents, tree_table(t).depth) if d & 1)
+    return min(odd, frozenset(t.agents) - odd, key=len)  # min keeps odd on a tie
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +82,8 @@ def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, Blockin
     """
     if len(g.edges) < 2:
         raise InputError("need at least two EPR pairs")
-    if len(components(g)) < 2:
+    comps = components(g)
+    if len(comps) < 2:
         raise InputError("graph is connected")
     distinct = sorted(set(g.edges))
     if len(distinct) == 1:
@@ -101,7 +97,7 @@ def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, Blockin
             a_side = frozenset({e1[1], e2[1]})
     cat = cat_state(g.n)
     forward = make_witness(cat, g, Bicoloring(g.agents, a_side))
-    return forward, witness_disconnected_vs_cat(g)
+    return forward, make_witness(g, cat, Bicoloring(g.agents, comps[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from loccgraph import (
     Hypergraph,
@@ -21,7 +21,7 @@ from loccgraph import (
     uniformity,
 )
 from loccgraph.cli import main
-from loccgraph.enumeration import random_r_uniform_hypertree
+from loccgraph.enumeration import random_r_uniform_hypertree, random_spanning_tree
 from loccgraph.errors import IllegalMove, InputError
 
 
@@ -194,6 +194,63 @@ def test_two_uniform_hypertree_is_spanning_tree():
         if all(len(e) == 2 for e in h.edges):
             assert is_entangled_hypertree(h) == is_spanning_epr_tree(h)
     assert is_entangled_hypertree(star_tree(5))
+
+
+def oracle_is_spanning_epr_tree(h):
+    """The spanning-tree test with its own multiplicity and edge-count checks."""
+    if any(len(e) != 2 for e in h.edges):
+        return False
+    if len(set(h.edges)) != len(h.edges):
+        return False
+    return len(h.edges) == h.n - 1 and is_connected(h)
+
+
+def oracle_is_entangled_hypertree(h):
+    """The incidence-graph test that walks before it compares counts."""
+    if not is_connected(h):
+        return False
+    nodes = h.n + len(h.edges)
+    links = h.size_total
+    return links == nodes - 1
+
+
+@st.composite
+def tree_like_states(draw):
+    """1-7 agents around a random r-uniform hypertree (r = 2 is a spanning
+    tree), with edges dropped, extra edges of mixed sizes, repeats and
+    isolated agents; or a single agent with no edges."""
+    r = draw(st.integers(2, 4))
+    m = draw(st.integers(0, 6 // (r - 1)))
+    core = m * (r - 1) + 1
+    n = draw(st.integers(core, 7))
+    if m == 0:
+        edges = []
+    elif r == 2:
+        edges = list(random_spanning_tree(core, draw(st.integers(0, 10 ** 6))).edges)
+    else:
+        edges = list(random_r_uniform_hypertree(core, r, draw(st.integers(0, 10 ** 6))).edges)
+    if edges:
+        dropped = draw(st.sets(st.integers(0, len(edges) - 1), max_size=2))
+        edges = [e for i, e in enumerate(edges) if i not in dropped]
+    if n >= 2:
+        edge = st.lists(st.integers(1, n), min_size=2, max_size=min(4, n), unique=True)
+        edges += map(tuple, draw(st.lists(edge, max_size=2)))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    return Hypergraph(tuple(range(1, n + 1)), tuple(edges))
+
+
+@settings(max_examples=500, deadline=None)
+@given(tree_like_states())
+@example(H(1))
+@example(H(2, (1, 2)))
+@example(H(3, (1, 2), (2, 3), (2, 3)))        # a repeated tree edge
+@example(H(4, (1, 2), (2, 3)))                # an isolated agent
+@example(H(4, (1, 2), (2, 3, 4)))             # mixed sizes, a hypertree
+@example(H(4, (1, 2), (1, 2), (3, 4)))        # n - 1 pairs, not a tree
+def test_tree_predicates_match_their_former_bodies(h):
+    assert is_spanning_epr_tree(h) == oracle_is_spanning_epr_tree(h)
+    assert is_entangled_hypertree(h) == oracle_is_entangled_hypertree(h)
 
 
 # ---------------------------------------------------------------------------

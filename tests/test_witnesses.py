@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +113,18 @@ def test_cat_vs_disconnected_preconditions():
         witness_cat_vs_disconnected(H(3, (1, 2)))
     with pytest.raises(InputError, match="^graph is connected$"):
         witness_cat_vs_disconnected(path_tree(3))
+
+
+def test_cat_vs_disconnected_splits_and_builds_the_cat_once():
+    # the backward witness reuses the forward direction's components and CAT
+    import loccgraph.witnesses as witnesses
+
+    for g in (H(6, (1, 2), (2, 3), (4, 5), (5, 6)), H(5, (2, 3), (2, 3)), H(4, (1, 4), (2, 3))):
+        with mock.patch.object(witnesses, "components", wraps=witnesses.components) as split, \
+                mock.patch.object(witnesses, "cat_state", wraps=witnesses.cat_state) as cat:
+            _, bwd = witness_cat_vs_disconnected(g)
+        assert (split.call_count, cat.call_count) == (1, 1)
+        assert bwd == witness_disconnected_vs_cat(g)
 
 
 def test_cat_vs_duplicated_pair():
