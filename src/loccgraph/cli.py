@@ -58,27 +58,27 @@ def dumps(obj) -> str:
     The standard library's C encoder serves only unindented output, so
     `indent=2` runs a pure-Python generator per value.  Here each value
     returns its text, given `indent`, a newline and the indent of its
-    closing line; a container joins its children's text, each written one
-    level deeper.  A list of plain ints is one `join`, and its text is kept
-    for the rest of the call, keyed by its indent and values, because a
-    trace repeats its edges from state to state.  A value with no JSON form,
-    such as a set or a non-string key, is an internal inconsistency."""
-    int_lists: dict = {}
+    closing line; a container joins its children's text one level deeper.
+    A trace repeats its edges and moves, so a list of plain ints and a move
+    of plain-int fields keep their text for the call, keyed by indent and
+    value; `1 == True == 1.0` print apart, so the exact-type tests keep any
+    value holding a bool or float out of that memo.  A value with no JSON
+    form, such as a set or a non-string key, is an internal inconsistency."""
+    texts: dict = {}
 
     def text(value, indent: str) -> str:
-        # containers first: they are most of a report
-        if isinstance(value, (list, tuple)):
+        kind = type(value)  # exact types first; subclasses take the isinstance tests below
+        if kind is list or kind is tuple:
             if not value:
                 return "[]"
             inner = indent + "  "
-            if set(map(type, value)) == {int}:  # the type test keeps bools out
-                key = (indent, *value)
-                if key not in int_lists:
-                    int_lists[key] = "[" + inner + f",{inner}".join(map(str, value)) + indent + "]"
-                return int_lists[key]
-            items = [text(item, inner) for item in value]
-            return "[" + inner + f",{inner}".join(items) + indent + "]"
-        if isinstance(value, dict):
+            if set(map(type, value)) != {int}:
+                items = [text(item, inner) for item in value]
+                return "[" + inner + f",{inner}".join(items) + indent + "]"
+            if (found := texts.get(key := (indent, *value))) is None:
+                found = texts[key] = "[" + inner + f",{inner}".join(map(str, value)) + indent + "]"
+            return found
+        if kind is dict:
             if not value:
                 return "{}"
             inner = indent + "  "
@@ -88,8 +88,17 @@ def dumps(obj) -> str:
                     require(False, f"a report key is not a string: {key!r}")
                 parts.append(encode_basestring_ascii(key) + ": " + text(item, inner))
             return "{" + inner + f",{inner}".join(parts) + indent + "}"
-        if isinstance(value, str):
+        if isinstance(value, str):  # a str subclass writes as its text
             return encode_basestring_ascii(value)
+        if kind is int:
+            return int.__repr__(value)
+        if kind in MOVE_FIELDS and {type(m) for f in vars(value).values()
+                                    for m in (f if type(f) is tuple else (f,))} == {int}:
+            if (found := texts.get(key := (indent, value))) is None:
+                found = texts[key] = text(to_json(value), indent)
+            return found
+        if isinstance(value, (list, tuple, dict)):  # a namedtuple is written as a list
+            return text(dict(value) if isinstance(value, dict) else list(value), indent)
         if value is None:
             return "null"
         if value is True:

@@ -104,11 +104,10 @@ class Hypergraph:
 def _trusted(agents: tuple[int, ...], edges: tuple[Edge, ...], size: int) -> Hypergraph:
     """A Hypergraph from parts already in canonical form (sorted agents,
     sorted edges of known agents, sorted edge tuple) and its size_total,
-    built without `__post_init__`.  Callers vouch for both."""
+    put into its instance dict in one update, past `__post_init__` and the
+    frozen `__setattr__`.  Callers vouch for both."""
     h = object.__new__(Hypergraph)
-    object.__setattr__(h, "agents", agents)
-    object.__setattr__(h, "edges", edges)
-    object.__setattr__(h, "_size", size)
+    h.__dict__.update(agents=agents, edges=edges, _size=size)
     return h
 
 

@@ -232,6 +232,8 @@ def find_blocking_witness(source: Hypergraph, target: Hypergraph, *,
     the transformation is possible; possibility is established only by an
     explicit protocol trace.
     """
+    if source == target:  # equal states cut alike under every coloring; only the bound is left
+        return _check_bound(source.agents, color_bound)
     source_profile, target_profile = cut_profiles(source, target, color_bound=color_bound)
     return source_profile.first_witness(target_profile)
 

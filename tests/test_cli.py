@@ -776,10 +776,13 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, command):
 
 
 def test_cut_kernel_out_of_memory_exits_2_with_one_line(tmp_path):
-    # path_29's scan needs 28 columns of 2^28 bits, far past the limit
+    # a scan on 29 agents needs 28 columns of 2^28 bits, far past the limit;
+    # the states differ, because equal states are not scanned
     path = write_state(tmp_path, "path29.txt",
                        "agents: 29\n" + "".join(f"cat: {i} {i + 1}\n" for i in range(1, 29)))
-    proc = _run_memory_limited("check", path, path, "--color-bound", "30")
+    star = write_state(tmp_path, "star29.txt",
+                       "agents: 29\n" + "".join(f"cat: 1 {i}\n" for i in range(2, 30)))
+    proc = _run_memory_limited("check", path, star, "--color-bound", "30")
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory")

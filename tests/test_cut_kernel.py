@@ -5,9 +5,11 @@ The oracles below are the scans `merging` ran before the kernel: one
 `Bicoloring` per coloring from `iter_bicolorings`, both cuts by `bcm_cut`.
 """
 
+import dataclasses
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from loccgraph import (
     path_tree,
     star_tree,
 )
+from loccgraph import hypergraph, merging
 from loccgraph.errors import BoundExceeded, IllegalMove, InputError
 from loccgraph.merging import (
     DEFAULT_COLOR_BOUND,
@@ -253,6 +256,24 @@ def test_errors_and_their_order_match_the_oracle(source, target, bound):
                 == _raised(oracle, source, target, color_bound=bound))
 
 
+@settings(max_examples=300, deadline=None)
+@given(state_pairs())
+def test_equal_states_are_not_scanned(pair):
+    source = pair[0]
+    equal = Hypergraph(source.agents, source.edges[::-1])  # built apart
+    source_profile, equal_profile = cut_profiles(source, equal)
+    with mock.patch.object(merging, "cut_profiles", side_effect=AssertionError("scanned")):
+        assert find_blocking_witness(source, equal) is None
+    assert source_profile.first_witness(equal_profile) is None
+    # past the bound and across agent sets, the scan's own checks still raise first
+    tight = source.n - 1
+    assert (_raised(find_blocking_witness, source, equal, color_bound=tight)
+            == _raised(cut_profiles, source, equal, color_bound=tight))
+    wider = Hypergraph(source.agents + (99,), source.edges)
+    for a, b in ((source, wider), (wider, source)):
+        assert _raised(find_blocking_witness, a, b) == _raised(cut_profiles, a, b)
+
+
 def test_scan_at_the_default_color_bound():
     # 2^21 colorings per scan; the per-coloring oracle takes about 47 s
     start = time.perf_counter()
@@ -300,6 +321,48 @@ def test_replace_along_random_move_sequences(pair, seed):
         nxt = apply_move(state, move)
         _same_value(nxt, oracle_replace(state, *_move_edges(move)))
         state = nxt
+
+
+def oracle_trusted(agents, edges, size):
+    """`hypergraph._trusted` as it was: one `object.__setattr__` per field."""
+    h = object.__new__(Hypergraph)
+    object.__setattr__(h, "agents", agents)
+    object.__setattr__(h, "edges", edges)
+    object.__setattr__(h, "_size", size)
+    return h
+
+
+def _walk(start, k, seed):
+    """k copies of `start`, then random legal moves until none is left."""
+    rng = random.Random(seed)
+    states = [copies(start, k)]
+    while moves := legal_moves(states[-1]):
+        states.append(apply_move(states[-1], rng.choice(moves)))
+    return states
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_pairs(max_n=7), st.integers(1, 3), st.integers(0, 10 ** 6))
+def test_trusted_states_match_the_setattr_oracle(pair, k, seed):
+    start = Hypergraph(pair[0].agents, pair[0].edges + pair[1].edges)
+    states = _walk(start, k, seed)
+    with mock.patch.object(hypergraph, "_trusted", oracle_trusted):
+        expected = _walk(start, k, seed)
+    assert len(states) == len(expected)
+    for got, old in zip(states, expected):
+        assert type(got) is Hypergraph
+        assert got == old and hash(got) == hash(old) and repr(got) == repr(old)
+        assert got.size_total == old.size_total == sum(map(len, got.edges))
+        assert vars(got) == vars(old)
+    last = states[-1]
+    for name in ("agents", "edges", "_size", "_index"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(last, name, ())
+    assert "_index" not in vars(last)
+    hypergraph.reach(last, last.agents[0])
+    index = vars(last)["_index"]
+    hypergraph.reach(last, last.agents[-1])
+    assert vars(last)["_index"] is index
 
 
 @settings(max_examples=200, deadline=None)

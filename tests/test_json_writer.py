@@ -3,16 +3,23 @@
 JSON form is an internal inconsistency (exit 4), never a traceback."""
 
 import ast
+import collections
+import dataclasses
+import enum
 import json
 import math
 import pathlib
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import loccgraph
-from loccgraph import cli
+from loccgraph import cli, path_tree, star_tree
 from loccgraph.cli import dumps, main
+from loccgraph.distance import distance_report
+from loccgraph.hypergraph import format_hypergraph
+from loccgraph.protocols import CatExpand, Discard, MeasureOut, Swap
 
 
 def oracle(value) -> str:
@@ -57,6 +64,76 @@ def test_dumps_matches_the_standard_library(value):
 ])
 def test_the_int_list_memo_tells_types_and_depths_apart(value):
     assert dumps(value) == oracle(value)
+
+
+def plain(value):
+    """`value` with every move written out as its JSON form, a dict of its
+    kind and then its fields, so the standard library can encode it."""
+    if isinstance(value, (Discard, MeasureOut, Swap, CatExpand)):
+        return {"kind": value.kind, **{f.name: getattr(value, f.name)
+                                       for f in dataclasses.fields(value)}}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    return value
+
+
+Point = collections.namedtuple("Point", "x y")
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Tag(str):
+    pass
+
+
+class Side(str, enum.Enum):
+    LEFT = "left"
+
+
+@pytest.mark.parametrize("value", [
+    # equal values that hash alike but print apart, in either order
+    [(0,), (False,)],
+    [(False,), (0,), (0,)],
+    [(1, 2), (1.0, 2)],
+    [(1.0, 2), (1, 2), [[1, 2]]],
+    [Discard((1, 2)), Discard((True, 2)), Discard((1, 2))],
+    [Discard((True, 2)), Discard((1, 2)), [Discard((1, 2))]],
+    [Discard((1, 2)), Discard((1.0, 2))],
+    [MeasureOut((1, 2, 3), 1), MeasureOut((1, 2, 3), True), MeasureOut((1, 2, 3), 1.0)],
+    [MeasureOut((True, 2, 3), 2), MeasureOut((1, 2, 3), 2)],
+    [Swap((1, 2), (2, 3)), Swap((1, 2), (2.0, 3)), CatExpand((1, 2, 3), (3, 4)),
+     CatExpand((1, 2, 3), (3, False))],
+    # a move whose field is not a tuple of ints is written, never memoized
+    [Discard([1, 2]), Discard((1, 2)), Discard(((1, 2), 3)), Discard(())],
+    # subclasses are written as their base type
+    [Point(1, 2), (1, 2), Point(True, 2), Point(1.5, [2])],
+    collections.OrderedDict([("b", [1, 2]), ("a", Discard((1, 2)))]),
+    {"inner": collections.OrderedDict(z=1, a=collections.OrderedDict())},
+    [Level.LOW, 1, [Level.LOW, 1], [1, Level.LOW], (Level.LOW,)],
+    [Tag("tag"), "tag", Tag(""), Side.LEFT, {"key": Tag("x")}],
+])
+def test_the_memo_keeps_equal_values_that_print_apart_apart(value):
+    assert dumps(value) == oracle(plain(value))
+
+
+def test_distance_writes_each_distinct_move_once(tmp_path):
+    t1, t2 = path_tree(8), star_tree(8)
+    paths = []
+    for name, t in (("t1.txt", t1), ("t2.txt", t2)):
+        (tmp_path / name).write_text(format_hypergraph(t))
+        paths.append(str(tmp_path / name))
+    trace = distance_report(t1, t2).upper_trace
+    moves = trace.moves
+    assert len(moves) > len(set(moves))  # the trace repeats moves from copy to copy
+    with mock.patch.object(cli, "to_json", wraps=cli.to_json) as to_json:
+        assert main(["distance", "--json", *paths]) == 0
+    # the trace, its start, each distinct move once, in trace order, and its end
+    assert [call.args[0] for call in to_json.call_args_list] == [
+        trace, trace.start, *dict.fromkeys(moves), trace.end]
 
 
 def test_a_distance_report_is_written_byte_for_byte(tmp_path, capsys):
