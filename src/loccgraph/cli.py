@@ -15,13 +15,13 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import BoundExceeded, InputError, LoccError, require
 from .hypergraph import Hypergraph, format_hypergraph, parse_hypergraph
-from .merging import DEFAULT_COLOR_BOUND, Bicoloring, BlockingWitness, find_blocking_witness
+from .merging import DEFAULT_COLOR_BOUND, Bicoloring, find_blocking_witness
 from .protocols import (
     DEFAULT_SEARCH_BUDGET,
     CatExpand,
@@ -151,22 +151,6 @@ def state_from_json(data: dict) -> Hypergraph:
     return Hypergraph(tuple(agents), tuple(map(tuple, edges)))
 
 
-def witness_to_json(w: BlockingWitness, direction: tuple[str, str]) -> dict:
-    """`direction` names the witness's (source, target) in the report."""
-    return {
-        "coloring_bits": w.coloring.bits(),
-        "a_side": sorted(w.coloring.a_side),
-        "source_cut": w.source_cut,
-        "target_cut": w.target_cut,
-        "direction": list(direction),
-    }
-
-
-def witness_from_json(data: dict, agents) -> BlockingWitness:
-    coloring = Bicoloring.from_bits(agents, data["coloring_bits"])
-    return BlockingWitness(coloring, data["source_cut"], data["target_cut"])
-
-
 def move_from_json(data: dict) -> LoccMove:
     kind = data["kind"]
     cls = MOVE_KINDS.get(kind)
@@ -223,41 +207,19 @@ def _read_input(path: str) -> tuple[Hypergraph, dict]:
 # comparability verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DirectionVerdict:
-    kind: str  # "possible" | "impossible" | "unknown"
-    trace: ProtocolTrace | None = None
-    witness: BlockingWitness | None = None
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        require(self.trace is None or self.witness is None,
-                "a direction cannot be possible and impossible at once")
+CLASSIFICATION = {
+    ("possible", "possible"): "equivalent",
+    ("possible", "impossible"): "strictly_above",
+    ("impossible", "possible"): "strictly_below",
+    ("impossible", "impossible"): "incomparable",
+}
 
 
-@dataclass(frozen=True)
-class ComparabilityVerdict:
-    forward: DirectionVerdict
-    backward: DirectionVerdict
-    classification: str
-
-    @classmethod
-    def from_directions(cls, forward: DirectionVerdict,
-                        backward: DirectionVerdict) -> "ComparabilityVerdict":
-        table = {
-            ("possible", "possible"): "equivalent",
-            ("possible", "impossible"): "strictly_above",
-            ("impossible", "possible"): "strictly_below",
-            ("impossible", "impossible"): "incomparable",
-        }
-        cls_name = table.get((forward.kind, backward.kind), "unknown")
-        return cls(forward, backward, cls_name)
-
-
-def _judge_direction(source: Hypergraph, target: Hypergraph, *,
-                     color_bound: int, search_budget: int) -> DirectionVerdict:
-    """Witness scan first (past the color bound, `structural_witness`);
-    only a direction without a witness is searched."""
+def _judge_direction(source: Hypergraph, target: Hypergraph, names: tuple[str, str], *,
+                     color_bound: int, search_budget: int) -> dict:
+    """The direction's `check --json` entry.  Witness scan first (past the
+    color bound, `structural_witness`); only a direction without a witness
+    is searched.  `names` names the witness's (source, target) in the report."""
     note = ""
     try:
         witness = find_blocking_witness(source, target, color_bound=color_bound)
@@ -265,12 +227,23 @@ def _judge_direction(source: Hypergraph, target: Hypergraph, *,
         note = f"witness scan skipped: {exc}"
         witness = structural_witness(source, target)
     if witness is not None:
-        return DirectionVerdict("impossible", witness=witness, note=note)
-    try:
-        trace = reachability_search(source, target, budget=search_budget)
-    except BoundExceeded as exc:
-        trace, note = None, (note + "; " if note else "") + f"search truncated: {exc}"
-    return DirectionVerdict("unknown" if trace is None else "possible", trace=trace, note=note)
+        entry = {"verdict": "impossible", "witness": {
+            "coloring_bits": witness.coloring.bits(),
+            "a_side": sorted(witness.coloring.a_side),
+            "source_cut": witness.source_cut,
+            "target_cut": witness.target_cut,
+            "direction": list(names),
+        }}
+    else:
+        try:
+            trace = reachability_search(source, target, budget=search_budget)
+        except BoundExceeded as exc:
+            trace, note = None, (note + "; " if note else "") + f"search truncated: {exc}"
+        entry = {"verdict": "unknown"} if trace is None else {"verdict": "possible",
+                                                              "trace": trace}
+    if note:
+        entry["note"] = note
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -282,39 +255,34 @@ def cmd_check(args) -> int:
                                                          (args.source, args.target))
     if source.agents != target.agents:
         raise InputError("inputs do not share one agent set")
-    forward = _judge_direction(source, target, color_bound=args.color_bound,
-                               search_budget=args.search_budget)
-    backward = _judge_direction(target, source, color_bound=args.color_bound,
-                                search_budget=args.search_budget)
-    verdict = ComparabilityVerdict.from_directions(forward, backward)
     report = {
         "tool": "loccgraph",
         "version": __version__,
         "inputs": {"source": source_input, "target": target_input},
     }
-    for key, d, direction in (("forward", forward, ("source", "target")),
-                              ("backward", backward, ("target", "source"))):
-        out = report[key] = {"verdict": d.kind}
-        if d.witness is not None:
-            out["witness"] = witness_to_json(d.witness, direction)
-        if d.trace is not None:
-            out["trace"] = d.trace
-        if d.note:
-            out["note"] = d.note
-    report["classification"] = verdict.classification
+    directions = {"forward": (source, target, ("source", "target")),
+                  "backward": (target, source, ("target", "source"))}
+    for key, (s, t, names) in directions.items():
+        entry = report[key] = _judge_direction(s, t, names, color_bound=args.color_bound,
+                                               search_budget=args.search_budget)
+        require("witness" not in entry or "trace" not in entry,
+                "a direction cannot be possible and impossible at once")
+    classification = report["classification"] = CLASSIFICATION.get(
+        (report["forward"]["verdict"], report["backward"]["verdict"]), "unknown")
     if args.json:
         print(dumps(report))
     else:
-        for label, d in (("forward  (source -> target)", forward),
-                         ("backward (target -> source)", backward)):
-            print(f"{label}: {d.kind}")
-            if d.witness:
-                print(f"  witness coloring A={sorted(d.witness.coloring.a_side)} "
-                      f"cuts ({d.witness.source_cut}, {d.witness.target_cut})")
-            if d.trace:
-                print(f"  trace with {len(d.trace.moves)} move(s)")
-        print(f"classification: {verdict.classification}")
-    return EXIT_UNKNOWN if verdict.classification == "unknown" else EXIT_OK
+        for key, (_, _, (a, b)) in directions.items():
+            entry = report[key]
+            print(f"{key:8} ({a} -> {b}): {entry['verdict']}")
+            if "witness" in entry:
+                w = entry["witness"]
+                print(f"  witness coloring A={w['a_side']} "
+                      f"cuts ({w['source_cut']}, {w['target_cut']})")
+            if "trace" in entry:
+                print(f"  trace with {len(entry['trace'].moves)} move(s)")
+        print(f"classification: {classification}")
+    return EXIT_UNKNOWN if classification == "unknown" else EXIT_OK
 
 
 def cmd_distance(args) -> int:

@@ -65,13 +65,6 @@ class Bicoloring:
         """'1' for A, '0' for B, in canonical agent order."""
         return "".join("1" if a in self.a_side else "0" for a in self.agents)
 
-    @classmethod
-    def from_bits(cls, agents, bits: str) -> "Bicoloring":
-        agents = tuple(sorted(agents))
-        if len(bits) != len(agents) or set(bits) - {"0", "1"}:
-            raise InputError("bit string does not match agent set")
-        return cls(agents, frozenset(a for a, b in zip(agents, bits) if b == "1"))
-
 
 @dataclass(frozen=True)
 class BlockingWitness:

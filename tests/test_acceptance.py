@@ -39,7 +39,6 @@ from loccgraph.enumeration import (
     random_r_uniform_hypertree,
     random_spanning_tree,
 )
-from loccgraph.cli import ComparabilityVerdict, DirectionVerdict
 from loccgraph.protocols import apply_move
 
 
@@ -60,19 +59,17 @@ def valid_witness(w, source, target):
     assert bcm_cut(target, w.coloring) == w.target_cut
 
 
-def test_criterion_01_ghz_irreversibility():
+def test_criterion_01_ghz_irreversibility(judge_pair, rederive):
     start = time.perf_counter()
     ghz = cat_state(3)
     two_epr = H(3, (1, 3), (2, 3))
-    witness = find_blocking_witness(ghz, two_epr)
-    assert witness is not None and (witness.source_cut, witness.target_cut) == (1, 2)
+    forward, backward, classification = judge_pair(ghz, two_epr)
+    witness = rederive(forward["witness"], ghz, two_epr)
+    assert (witness.source_cut, witness.target_cut) == (1, 2)
     assert reachability_search(ghz, two_epr) is None
-    trace = reachability_search(two_epr, ghz)
-    assert trace is not None and len(trace.moves) == 1
-    verdict = ComparabilityVerdict.from_directions(
-        DirectionVerdict("impossible", witness=witness),
-        DirectionVerdict("possible", trace=trace))
-    assert verdict.classification == "strictly_below"
+    trace = backward["trace"]
+    assert replay_trace(trace) == ghz and trace.start == two_epr and len(trace.moves) == 1
+    assert classification == "strictly_below"
     report("criterion 1 (GHZ irreversibility)", time.perf_counter() - start, budget=1.0)
 
 
@@ -174,7 +171,7 @@ def test_criterion_07_pendant_condition():
     report("criterion 7 (pendant condition, 200 pairs)", time.perf_counter() - start)
 
 
-def test_criterion_08_r_uniform_hypertrees():
+def test_criterion_08_r_uniform_hypertrees(judge_pair, rederive):
     start = time.perf_counter()
     configs = ((3, 5), (3, 7), (3, 9), (4, 7), (4, 10))
     for r, n in configs:
@@ -194,10 +191,10 @@ def test_criterion_08_r_uniform_hypertrees():
             fwd, bwd = witness_r_uniform_hypertrees(h1, h2)
             valid_witness(fwd, h1, h2)
             valid_witness(bwd, h2, h1)
-            verdict = ComparabilityVerdict.from_directions(
-                DirectionVerdict("impossible", witness=fwd),
-                DirectionVerdict("impossible", witness=bwd))
-            assert verdict.classification == "incomparable"
+            forward, backward, classification = judge_pair(h1, h2)
+            rederive(forward["witness"], h1, h2)
+            rederive(backward["witness"], h2, h1)
+            assert classification == "incomparable"
     report("criterion 8 (r-uniform hypertrees, 5x200 pairs)",
            time.perf_counter() - start, budget=120.0)
 
@@ -283,11 +280,11 @@ def test_criterion_11_soundness():
            time.perf_counter() - start)
 
 
-def test_criterion_12_hypertree_pair_n15_ends_at_its_witnesses(tmp_path, capsys):
+def test_criterion_12_hypertree_pair_n15_ends_at_its_witnesses(tmp_path, capsys, rederive):
     import json
 
     from loccgraph import parse_hypergraph
-    from loccgraph.cli import main, witness_from_json
+    from loccgraph.cli import main
 
     start = time.perf_counter()
     assert main(["enumerate", "hypertrees", "--n", "15", "--r", "3",
@@ -304,7 +301,6 @@ def test_criterion_12_hypertree_pair_n15_ends_at_its_witnesses(tmp_path, capsys)
     assert result["classification"] == "incomparable"
     h1, h2 = (parse_hypergraph(doc) for doc in docs)
     for key, (source, target) in (("forward", (h1, h2)), ("backward", (h2, h1))):
-        witness = witness_from_json(result[key]["witness"], source.agents)
-        valid_witness(witness, source, target)
+        rederive(result[key]["witness"], source, target)
     report("criterion 12 (n=15 r=3 hypertree check)",
            time.perf_counter() - start, budget=5.0)

@@ -16,7 +16,6 @@ from loccgraph import (
     MeasureOut,
     Swap,
     apply_move,
-    bcm_cut,
     cat_state,
     format_hypergraph,
     parse_hypergraph,
@@ -34,7 +33,6 @@ from loccgraph.cli import (
     state_from_json,
     to_json,
     trace_from_json,
-    witness_from_json,
 )
 from loccgraph.errors import InputError
 
@@ -63,7 +61,7 @@ def test_check_ghz_vs_two_epr(ghz_file, two_epr_file, capsys):
     assert "cuts (1, 2)" in out
 
 
-def test_check_json_report_round_trips(ghz_file, two_epr_file, capsys):
+def test_check_json_report_round_trips(ghz_file, two_epr_file, capsys, rederive):
     code = main(["check", "--json", ghz_file, two_epr_file])
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
@@ -71,9 +69,8 @@ def test_check_json_report_round_trips(ghz_file, two_epr_file, capsys):
     source = parse_hypergraph(open(ghz_file).read())
     target = parse_hypergraph(open(two_epr_file).read())
     # re-verify the witness and the trace against the inputs
-    witness = witness_from_json(report["forward"]["witness"], source.agents)
-    assert bcm_cut(source, witness.coloring) == witness.source_cut
-    assert bcm_cut(target, witness.coloring) == witness.target_cut
+    witness = rederive(report["forward"]["witness"], source, target)
+    assert (witness.source_cut, witness.target_cut) == (1, 2)
     trace = trace_from_json(report["backward"]["trace"])
     assert trace.start == target and trace.end == source
     assert len(trace.moves) == 1
@@ -375,9 +372,9 @@ def test_verdict_guard_survives_optimize_flag(tmp_path):
         "import loccgraph.cli as cli\n"
         "from loccgraph.protocols import make_trace\n"
         "assert False, 'assert statements must be stripped under -O'\n"
-        "cli._judge_direction = lambda s, t, **kw: cli.DirectionVerdict(\n"
-        "    'possible', trace=make_trace(s, ()),\n"
-        "    witness=cli.find_blocking_witness(s, t))\n"
+        "judge = cli._judge_direction\n"
+        "cli._judge_direction = lambda s, t, names, **kw: {\n"
+        "    **judge(s, t, names, **kw), 'trace': make_trace(s, ())}\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(loccgraph.__file__)))
@@ -448,7 +445,7 @@ def test_replay_applies_each_move_once(tmp_path, monkeypatch, capsys):
     assert applied == list(trace.moves)
 
 
-def test_check_past_color_bound_uses_the_search_cuts(tmp_path, capsys):
+def test_check_past_color_bound_uses_the_search_cuts(tmp_path, capsys, rederive):
     # 23 agents exceed the default color bound of 22, so the exhaustive
     # scan is skipped; agent degrees still block both directions
     n = 23
@@ -465,9 +462,8 @@ def test_check_past_color_bound_uses_the_search_cuts(tmp_path, capsys):
         direction = report[key]
         assert direction["verdict"] == "impossible"
         assert direction["note"].startswith("witness scan skipped")
-        witness = witness_from_json(direction["witness"], source.agents)
+        witness = rederive(direction["witness"], a, b)
         assert (witness.source_cut, witness.target_cut) == cuts
-        assert (bcm_cut(a, witness.coloring), bcm_cut(b, witness.coloring)) == cuts
 
 
 def _swapped_paths(tmp_path):
@@ -482,7 +478,7 @@ def _swapped_paths(tmp_path):
     return path, swapped
 
 
-def test_check_past_color_bound_splits_distinct_trees(tmp_path, capsys):
+def test_check_past_color_bound_splits_distinct_trees(tmp_path, capsys, rederive):
     path, swapped = _swapped_paths(tmp_path)
     assert main(["check", "--json", path, swapped]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
@@ -494,10 +490,8 @@ def test_check_past_color_bound_splits_distinct_trees(tmp_path, capsys):
         assert direction["verdict"] == "impossible"
         assert direction["note"].startswith("witness scan skipped")
         assert direction["witness"]["direction"] == names
-        witness = witness_from_json(direction["witness"], source.agents)
-        assert witness.source_cut == 1
-        assert bcm_cut(a, witness.coloring) == 1
-        assert bcm_cut(b, witness.coloring) == witness.target_cut > 1
+        witness = rederive(direction["witness"], a, b)
+        assert witness.source_cut == 1 and witness.target_cut > 1
 
 
 def _swapped_chains(tmp_path):
@@ -513,7 +507,7 @@ def _swapped_chains(tmp_path):
             for name, edges in (("chain.txt", chain), ("swapped.txt", swapped))]
 
 
-def test_check_past_color_bound_splits_distinct_hypertrees(tmp_path, capsys):
+def test_check_past_color_bound_splits_distinct_hypertrees(tmp_path, capsys, rederive):
     files = _swapped_chains(tmp_path)
     assert main(["check", "--json", "--search-budget", "2000", *files]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
@@ -523,9 +517,8 @@ def test_check_past_color_bound_splits_distinct_hypertrees(tmp_path, capsys):
         direction = report[key]
         assert direction["verdict"] == "impossible"
         assert direction["note"].startswith("witness scan skipped")
-        witness = witness_from_json(direction["witness"], source.agents)
+        witness = rederive(direction["witness"], a, b)
         assert (witness.source_cut, witness.target_cut) == (1, 2)
-        assert (bcm_cut(a, witness.coloring), bcm_cut(b, witness.coloring)) == (1, 2)
 
 
 @pytest.mark.parametrize("inputs, builder", [

@@ -5,12 +5,14 @@ IllegalMove, or an AssertionError from `require` (an internal
 inconsistency, which must survive `python -O`, so no `assert` statement
 may carry it).  Only `hypergraph.py` may build an object with
 `object.__new__`, in its one trusted constructor that skips validation.
-No module imports a `_`-prefixed name from another.
+No module imports a `_`-prefixed name from another, and every function
+in `cli.py` but its entry points has a caller in the package.
 """
 
 import ast
 import inspect
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -76,6 +78,25 @@ def test_no_module_imports_a_private_name_of_another(path):
     # needs it from outside needs a public name instead
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _private_imports(tree) == [], f"{path.name} imports a private name"
+
+
+def _referenced(node: ast.AST) -> Counter:
+    """How often each name is read under `node`, bare or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_cli_function_has_a_caller_in_src():
+    # a function that only the tests call is dead code; `main`, `build_parser`
+    # and the `cmd_*` handlers are entry points, reached from outside or by name
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    referenced = sum(map(_referenced, trees.values()), Counter())
+    uncalled = [node.name for node in trees["cli.py"].body
+                if isinstance(node, ast.FunctionDef)
+                and node.name not in {"main", "build_parser"}
+                and not node.name.startswith("cmd_")
+                and not referenced[node.name] - _referenced(node)[node.name]]
+    assert uncalled == []
 
 
 def test_errors_module_defines_the_taxonomy():

@@ -159,7 +159,15 @@ def test_a_value_with_no_json_form_raises_from_require(value):
 def test_a_report_with_no_json_form_exits_4_with_one_line(monkeypatch, tmp_path, capsys, bad):
     (tmp_path / "ghz.txt").write_text("agents: 3\ncat: 1 2 3\n")
     (tmp_path / "two_epr.txt").write_text("agents: 3\ncat: 1 3\ncat: 2 3\n")
-    monkeypatch.setattr(cli, "witness_to_json", lambda w, direction: {"a_side": bad})
+    judge = cli._judge_direction
+
+    def judge_with_bad_side(source, target, names, **kwargs):
+        entry = judge(source, target, names, **kwargs)
+        if "witness" in entry:
+            entry["witness"]["a_side"] = bad
+        return entry
+
+    monkeypatch.setattr(cli, "_judge_direction", judge_with_bad_side)
     code = main(["check", "--json", str(tmp_path / "ghz.txt"), str(tmp_path / "two_epr.txt")])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INCONSISTENT
