@@ -6,7 +6,8 @@ shared by its k members.  An EPR graph is simply the 2-uniform case.  The
 edge multiset may contain repeats: k copies of the same shared state are k
 equal hyperedges.
 
-Everything here is an immutable value; all operations are pure functions.
+Everything here is an immutable value; all operations are pure functions
+but `Hypergraph.edit`, which edits the caller's own edge list in place.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class Hypergraph:
     @property
     def size_total(self) -> int:
         """Sum of hyperedge sizes; strictly decreases under every LOCC move.
-        It is carried: `replace` and `copies` derive it from their parent's
-        size, and any other state sums its edges once, on first read."""
+        It is carried: `copies` derives it from its parent's size, and
+        `replace` and `edited` from the changes `edit` returns; any other
+        state sums its edges once, on first read."""
         if "_size" not in self.__dict__:
             object.__setattr__(self, "_size", sum(map(len, self.edges)))
         return self._size
@@ -77,12 +79,17 @@ class Hypergraph:
         return sum(1 for e in self.edges if agent in e)
 
     def replace(self, remove=(), add=()) -> "Hypergraph":
-        """New hypergraph with one instance of each `remove` edge swapped
-        for the `add` edges.  Raises IllegalMove if an instance is absent.
-        Only the `add` edges are validated; the result is built by
-        `_trusted`, its size carried from this state's."""
+        """New hypergraph: `edit` on a copy of this state's edges, built by
+        `_trusted` with its size carried from this state's."""
         pool = list(self.edges)
-        size = self.size_total
+        size = self.size_total + self.edit(pool, remove, add)
+        return _trusted(self.agents, tuple(pool), size)
+
+    def edit(self, pool: list[Edge], remove=(), add=()) -> int:
+        """Swap one instance of each `remove` edge in `pool`, a sorted edge
+        list over this state's agents, for the `add` edges, which alone are
+        validated; the change in size_total.  IllegalMove if one is absent."""
+        change = 0
         for edge in remove:
             e = tuple(sorted(edge))
             try:
@@ -92,12 +99,17 @@ class Hypergraph:
             if i == len(pool) or pool[i] != e:
                 raise IllegalMove(f"hyperedge {e} is not in the state")
             del pool[i]
-            size -= len(e)
+            change -= len(e)
         if add:  # a discard adds nothing, so it needs no agent set
             known = set(self.agents)
             for edge in add:
                 insort(pool, e := self._canonical(edge, known))
-                size += len(e)
+                change += len(e)
+        return change
+
+    def edited(self, pool: list[Edge], size: int) -> "Hypergraph":
+        """The state whose edges are `pool`, a copy of this state's changed
+        only by `edit`, and whose size_total `size` the caller carried."""
         return _trusted(self.agents, tuple(pool), size)
 
 

@@ -69,20 +69,23 @@ LoccMove = Union[Discard, MeasureOut, Swap, CatExpand]
 
 
 def apply_move(state: Hypergraph, move: LoccMove) -> Hypergraph:
-    """The rewritten state; the agent set never changes.
+    """The rewritten state, by `replace` with the move's operands; the agent
+    set never changes.  Raises IllegalMove with the violated precondition."""
+    return state.replace(*_operands(move))
 
-    Raises IllegalMove with the violated precondition.
-    """
+
+def _operands(move: LoccMove) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+    """The edges the move removes and adds, once its own preconditions hold;
+    raises IllegalMove with the one it breaks.  `edit` finds absent edges."""
     if isinstance(move, Discard):
-        return state.replace(remove=[move.edge])
+        return (move.edge,), ()
     if isinstance(move, MeasureOut):
         edge = tuple(sorted(move.edge))
         if len(edge) < 3:
             raise IllegalMove("measure-out needs a hyperedge of size >= 3")
         if move.agent not in edge:
             raise IllegalMove(f"agent {move.agent} not in hyperedge {edge}")
-        return state.replace(remove=[edge],
-                             add=[tuple(m for m in edge if m != move.agent)])
+        return (edge,), (tuple(m for m in edge if m != move.agent),)
     if isinstance(move, Swap):
         e1 = tuple(sorted(move.left))
         e2 = tuple(sorted(move.right))
@@ -91,8 +94,7 @@ def apply_move(state: Hypergraph, move: LoccMove) -> Hypergraph:
         shared = set(e1) & set(e2)
         if len(shared) != 1:
             raise IllegalMove(f"swap pairs {e1}, {e2} must share exactly one agent")
-        new = tuple(sorted(set(e1) ^ set(e2)))
-        return state.replace(remove=[e1, e2], add=[new])
+        return (e1, e2), (tuple(sorted(set(e1) ^ set(e2))),)
     if isinstance(move, CatExpand):
         edge = tuple(sorted(move.edge))
         pair = tuple(sorted(move.pair))
@@ -103,8 +105,7 @@ def apply_move(state: Hypergraph, move: LoccMove) -> Hypergraph:
             raise IllegalMove(
                 f"pair {pair} must touch hyperedge {edge} in exactly one agent")
         fresh = (set(pair) - inside).pop()
-        return state.replace(remove=[edge, pair],
-                             add=[tuple(sorted(edge + (fresh,)))])
+        return (edge, pair), (tuple(sorted(edge + (fresh,))),)
     raise IllegalMove(f"unknown move {move!r}")
 
 
@@ -119,16 +120,15 @@ class ProtocolTrace:
 
 def make_trace(start: Hypergraph, moves) -> ProtocolTrace:
     """Build a trace by replaying the moves, checking every precondition
-    and the strict decrease of the size potential.  Each state's size is
-    read once, from the state the move returned, which carries it."""
+    and the strict decrease of the size potential.  The moves `edit` one
+    copy of the start's edge list, and only the end state is built."""
     moves = tuple(moves)
-    state, size = start, start.size_total
+    pool, size = list(start.edges), start.size_total
     for move in moves:
-        state = apply_move(state, move)
-        shrunk = state.size_total
+        shrunk = size + start.edit(pool, *_operands(move))
         require(shrunk < size, "every move shrinks the state")
         size = shrunk
-    return ProtocolTrace(start=start, moves=moves, end=state)
+    return ProtocolTrace(start=start, moves=moves, end=start.edited(pool, size))
 
 
 def replay_trace(trace: ProtocolTrace) -> Hypergraph:
@@ -206,22 +206,20 @@ def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:
     between its endpoints, then discards its leftovers.
     """
     require_tree_pair(t1, t2)
-    missing = sorted(set(t2.edges) - set(t1.edges))
+    # tree edges are sorted and distinct, so filters keep them in order
+    discards = dict(zip(t1.edges, map(Discard, t1.edges)))
+    missing = [e for e in t2.edges if e not in discards]
     start = copies(t1, len(missing) + 1)
-    moves: list[LoccMove] = []
-    for e in sorted(set(t1.edges) - set(t2.edges)):
-        moves.append(Discard(e))
+    common = set(t2.edges)
+    moves: list[LoccMove] = [d for e, d in discards.items() if e not in common]
     for a, b in missing:
         path_edges, junctions = hyperpath(t1, a, b)
-        path = [a, *junctions, b]
         current = path_edges[0]
-        for nxt in path[2:]:
-            # swap at the junction shared by the accumulated pair and the next hop
-            junction = (set(current) - {a}).pop()
-            moves.append(Swap(left=current, right=tuple(sorted((junction, nxt)))))
-            current = tuple(sorted((a, nxt)))
-        for e in sorted(set(t1.edges) - set(path_edges)):
-            moves.append(Discard(e))
+        # swap at each junction: the accumulated pair (a, j) and the next hop
+        for hop, nxt in zip(path_edges[1:], [*junctions[1:], b]):
+            moves.append(Swap(left=current, right=hop))
+            current = (a, nxt) if a < nxt else (nxt, a)
+        moves += [d for e, d in discards.items() if e not in path_edges]
     trace = make_trace(start, moves)
     require(trace.end == t2, "the copies protocol ends at the target tree")
     return trace

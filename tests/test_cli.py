@@ -15,7 +15,6 @@ from loccgraph import (
     Hypergraph,
     MeasureOut,
     Swap,
-    apply_move,
     cat_state,
     format_hypergraph,
     parse_hypergraph,
@@ -435,11 +434,13 @@ def test_replay_applies_each_move_once(tmp_path, monkeypatch, capsys):
     trace_file.write_text(dumps(trace))
     applied = []
 
-    def counting_apply_move(state, move):
-        applied.append(move)
-        return apply_move(state, move)
+    operands = protocols._operands
 
-    monkeypatch.setattr(protocols, "apply_move", counting_apply_move)
+    def counting_operands(move):
+        applied.append(move)
+        return operands(move)
+
+    monkeypatch.setattr(protocols, "_operands", counting_operands)
     assert main(["replay", str(trace_file)]) == EXIT_OK
     assert capsys.readouterr().out == "replay OK, end state matches (6 moves)\n"
     assert applied == list(trace.moves)

@@ -274,7 +274,7 @@ def test_make_trace_validates_each_step():
 
 
 def test_replay_checks_the_size_potential_under_O():
-    # a stand-in apply_move that returns its state unchanged: the end state
+    # a stand-in move rewrite that keeps its state unchanged: the end state
     # still matches, so only the size potential can catch it
     import os
     import subprocess
@@ -286,7 +286,7 @@ def test_replay_checks_the_size_potential_under_O():
         "import loccgraph.protocols as protocols\n"
         "from loccgraph import Discard, Hypergraph, ProtocolTrace\n"
         "assert False, 'assert statements must be stripped under -O'\n"
-        "protocols.apply_move = lambda state, move: state\n"
+        "protocols._operands = lambda move: ((), ())\n"
         "h = Hypergraph((1, 2), ((1, 2),))\n"
         "try:\n"
         "    protocols.replay_trace(ProtocolTrace(h, (Discard((1, 2)),), h))\n"

@@ -4,7 +4,9 @@ The oracles below are the trace kernel as it was before each move cost a
 few C-level operations: `make_trace` summed every state's edge sizes in a
 Python generator twice per move, `Hypergraph.replace` found each removed
 edge with `list.remove`, and `copies` re-validated and re-sorted all k·|E|
-edges through the public constructor.
+edges through the public constructor.  Later `make_trace` built a new
+state per move through `apply_move`, and the copies protocol re-sorted set
+differences for every copy and sorted each swap's operands.
 """
 
 import os
@@ -19,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import loccgraph
 from loccgraph import (
+    Discard,
     Hypergraph,
     MeasureOut,
     ProtocolTrace,
@@ -28,10 +31,13 @@ from loccgraph import (
     legal_moves,
     make_trace,
     path_tree,
+    random_spanning_tree,
     star_tree,
     trees_copies_to_tree,
 )
-from loccgraph.errors import IllegalMove, InputError, LoccError
+from loccgraph.cli import dumps
+from loccgraph.errors import IllegalMove, InputError, LoccError, require
+from loccgraph.hypergraph import hyperpath
 
 
 def oracle_size_total(h):
@@ -72,6 +78,37 @@ def oracle_make_trace(start, moves):
                 raise AssertionError("every move shrinks the state")
             state = nxt
     return ProtocolTrace(start=start, moves=tuple(moves), end=state)
+
+
+def stepwise_make_trace(start, moves):
+    """The trace builder before it replayed on one edge list: one
+    `apply_move` per move, each through a new state."""
+    moves = tuple(moves)
+    state, size = start, start.size_total
+    for move in moves:
+        state = apply_move(state, move)
+        shrunk = state.size_total
+        require(shrunk < size, "every move shrinks the state")
+        size = shrunk
+    return ProtocolTrace(start=start, moves=moves, end=state)
+
+
+def oracle_copies_protocol(t1, t2):
+    """The copies protocol's start and moves as they were built before its
+    filters: set differences sorted for every copy, each swap's operands
+    sorted and its junction popped from a set."""
+    missing = sorted(set(t2.edges) - set(t1.edges))
+    moves = [Discard(e) for e in sorted(set(t1.edges) - set(t2.edges))]
+    for a, b in missing:
+        path_edges, junctions = hyperpath(t1, a, b)
+        path = [a, *junctions, b]
+        current = path_edges[0]
+        for nxt in path[2:]:
+            junction = (set(current) - {a}).pop()
+            moves.append(Swap(left=current, right=tuple(sorted((junction, nxt)))))
+            current = tuple(sorted((a, nxt)))
+        moves += [Discard(e) for e in sorted(set(t1.edges) - set(path_edges))]
+    return copies(t1, len(missing) + 1), moves
 
 
 def _outcome(fn, *args):
@@ -142,6 +179,23 @@ def test_a_trace_broken_by_a_foreign_move_fails_like_the_oracle(start, other, se
 
 
 @settings(max_examples=300, deadline=None)
+@given(states(), states(), st.integers(1, 3), st.integers(0, 10 ** 6), st.integers(0, 12),
+       st.booleans())
+def test_the_one_list_replay_matches_the_stepwise_oracle(h, other, k, seed, length, foreign):
+    # walks from a state and from its copies, legal or broken by a move of
+    # another state: the same trace, or the same error type and text
+    rng = random.Random(seed)
+    for start in (h, copies(h, k)):
+        moves = _walk(start, rng, length)
+        if foreign and (options := legal_moves(other)):
+            moves.insert(rng.randrange(len(moves) + 1), rng.choice(options))
+        got = _outcome(make_trace, start, moves)
+        assert got == _outcome(stepwise_make_trace, start, moves)
+        if isinstance(got, ProtocolTrace):
+            _same_value(got.end)
+
+
+@settings(max_examples=300, deadline=None)
 @given(states(), st.integers(1, 4), st.integers(0, 10 ** 6), st.integers(0, 16))
 def test_the_carried_size_is_the_sum_of_edge_sizes(h, k, seed, length):
     # `copies` and every move carry the size from their parent: it is in
@@ -172,8 +226,22 @@ def test_copies_protocols_match_the_oracle(n):
         assert trace == oracle_make_trace(start, trace.moves)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 15), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.sampled_from(["random", "equal", "star-path", "path-star"]))
+def test_the_copies_protocol_builds_the_oracle_moves(n, seed1, seed2, kind):
+    # equal trees give QD = 0: one copy and no moves
+    t1, t2 = random_spanning_tree(n, seed1), random_spanning_tree(n, seed2)
+    t1, t2 = {"random": (t1, t2), "equal": (t1, t1), "star-path": (star_tree(n), path_tree(n)),
+              "path-star": (path_tree(n), star_tree(n))}[kind]
+    start, moves = oracle_copies_protocol(t1, t2)
+    trace = trees_copies_to_tree(t1, t2)
+    assert (trace.start, trace.moves, trace.end) == (start, tuple(moves), t2)
+    assert dumps(trace) == dumps(ProtocolTrace(start, tuple(moves), t2))
+
+
 def test_a_move_that_keeps_its_state_is_caught_under_optimize_flag(tmp_path):
-    # the size check compares the real states: an apply_move that changes
+    # the size check compares the real sizes: a move rewrite that changes
     # nothing must fail it, with or without assert statements
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -184,7 +252,7 @@ def test_a_move_that_keeps_its_state_is_caught_under_optimize_flag(tmp_path):
         "import loccgraph.protocols as protocols\n"
         "import loccgraph.cli as cli\n"
         "assert False, 'assert statements must be stripped under -O'\n"
-        "protocols.apply_move = lambda state, move: state\n"
+        "protocols._operands = lambda move: ((), ())\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(loccgraph.__file__)))
