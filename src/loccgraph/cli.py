@@ -333,14 +333,11 @@ def cmd_enumerate(args) -> int:
     if args.kind == "trees":
         instances = all_spanning_trees(args.n)
     else:
+        if args.count < 1:
+            raise InputError(f"--count must be at least 1, got {args.count}")
         instances = (random_r_uniform_hypertree(args.n, args.r, args.seed + i)
                      for i in range(args.count))
-    first = True
-    for h in instances:
-        if not first:
-            print()
-        print(format_hypergraph(h), end="")
-        first = False
+    print("\n".join(map(format_hypergraph, instances)), end="")
     return EXIT_OK
 
 

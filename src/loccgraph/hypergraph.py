@@ -66,24 +66,18 @@ class Hypergraph:
 
     @property
     def size_total(self) -> int:
-        """Sum of hyperedge sizes; strictly decreases under every LOCC move.
-        It is carried: `copies` derives it from its parent's size, and
-        `replace` and `edited` from the changes `edit` returns; any other
-        state sums its edges once, on first read."""
-        if "_size" not in self.__dict__:
-            object.__setattr__(self, "_size", sum(map(len, self.edges)))
-        return self._size
+        """Sum of hyperedge sizes; strictly decreases under every LOCC move."""
+        return sum(map(len, self.edges))
 
     def degree(self, agent: int) -> int:
         """Number of hyperedge instances containing the agent."""
         return sum(1 for e in self.edges if agent in e)
 
     def replace(self, remove=(), add=()) -> "Hypergraph":
-        """New hypergraph: `edit` on a copy of this state's edges, built by
-        `_trusted` with its size carried from this state's."""
+        """New hypergraph: `edit` on a copy of this state's edges."""
         pool = list(self.edges)
-        size = self.size_total + self.edit(pool, remove, add)
-        return _trusted(self.agents, tuple(pool), size)
+        self.edit(pool, remove, add)
+        return _trusted(self.agents, tuple(pool))
 
     def edit(self, pool: list[Edge], remove=(), add=()) -> int:
         """Swap one instance of each `remove` edge in `pool`, a sorted edge
@@ -107,19 +101,19 @@ class Hypergraph:
                 change += len(e)
         return change
 
-    def edited(self, pool: list[Edge], size: int) -> "Hypergraph":
+    def edited(self, pool: list[Edge]) -> "Hypergraph":
         """The state whose edges are `pool`, a copy of this state's changed
-        only by `edit`, and whose size_total `size` the caller carried."""
-        return _trusted(self.agents, tuple(pool), size)
+        only by `edit`."""
+        return _trusted(self.agents, tuple(pool))
 
 
-def _trusted(agents: tuple[int, ...], edges: tuple[Edge, ...], size: int) -> Hypergraph:
+def _trusted(agents: tuple[int, ...], edges: tuple[Edge, ...]) -> Hypergraph:
     """A Hypergraph from parts already in canonical form (sorted agents,
-    sorted edges of known agents, sorted edge tuple) and its size_total,
-    put into its instance dict in one update, past `__post_init__` and the
-    frozen `__setattr__`.  Callers vouch for both."""
+    sorted edges of known agents, sorted edge tuple), put into its instance
+    dict in one update, past `__post_init__` and the frozen `__setattr__`.
+    Callers vouch for them."""
     h = object.__new__(Hypergraph)
-    h.__dict__.update(agents=agents, edges=edges, _size=size)
+    h.__dict__.update(agents=agents, edges=edges)
     return h
 
 
@@ -156,7 +150,7 @@ def copies(h: Hypergraph, k: int) -> Hypergraph:
     repeated k times in place keeps the edge tuple sorted."""
     if k < 1:
         raise InputError("need at least one copy")
-    return _trusted(h.agents, tuple(e for e in h.edges for _ in range(k)), k * h.size_total)
+    return _trusted(h.agents, tuple(e for e in h.edges for _ in range(k)))
 
 
 # ---------------------------------------------------------------------------

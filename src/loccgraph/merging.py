@@ -14,7 +14,7 @@ blocking witness.
 
 The scans over all 2^(n-1) colorings are bit-parallel (broadword
 computing, Knuth, TAOCP 4A, section 7.1.3): bit m of an integer stands for
-coloring m of `iter_bicolorings`, so one bitwise operation treats every
+coloring m of `_coloring`, so one bitwise operation treats every
 coloring at once.  A scan is two steps: `cut_profiles` builds each state's
 `CutProfile` (its level sets: the colorings that cut it v times), and
 `CutProfile.first_witness` folds a source's and a target's profiles into
@@ -38,7 +38,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, zip_longest
-from typing import Iterator
 
 from .errors import BoundExceeded, InputError
 from .hypergraph import Hypergraph
@@ -95,22 +94,10 @@ def _check_bound(agents, bound: int) -> None:
 
 
 def _coloring(agents: tuple[int, ...], mask: int) -> Bicoloring:
-    """Coloring number `mask`: bit i puts agents[i + 1] on the A side."""
+    """Coloring number `mask`: bit i puts agents[i + 1] on the A side.  The
+    first agent stays on B, since swapping the colors keeps every cut."""
     return Bicoloring(agents, frozenset(a for i, a in enumerate(agents[1:])
                                         if mask >> i & 1))
-
-
-def iter_bicolorings(agents, bound: int = DEFAULT_COLOR_BOUND) -> Iterator[Bicoloring]:
-    """All 2^(n-1) colorings with the canonical first agent pinned to B,
-    in binary-counting order over the remaining agents (deterministic).
-
-    Color-swap symmetry makes this exhaustive for cut purposes: the cut of
-    a coloring equals the cut of its flip.
-    """
-    agents = tuple(sorted(agents))
-    _check_bound(agents, bound)
-    for mask in range(1 << (len(agents) - 1)):
-        yield _coloring(agents, mask)
 
 
 def make_witness(source: Hypergraph, target: Hypergraph,
@@ -129,7 +116,7 @@ def make_witness(source: Hypergraph, target: Hypergraph,
 class CutProfile:
     """A state's cut under every coloring of its agents: entry v of
     `levels` is the bitset of the colorings (bit m for coloring m of
-    `iter_bicolorings`) that cut the state exactly v times.  Built by
+    `_coloring`) that cut the state exactly v times.  Built by
     `cut_profiles`; two profiles fold into a witness or a copy bound only
     when they were built over the same agents."""
 
@@ -137,7 +124,7 @@ class CutProfile:
     levels: tuple[int, ...]
 
     def first_witness(self, target: "CutProfile") -> BlockingWitness | None:
-        """The first coloring, in `iter_bicolorings` order, whose target
+        """The first coloring, in the mask order of `_coloring`, whose target
         level lies above this state's level; None when there is none."""
         below = found = 0
         for source_level, target_level in zip_longest(self.levels, target.levels[1:],

@@ -123,12 +123,10 @@ def make_trace(start: Hypergraph, moves) -> ProtocolTrace:
     and the strict decrease of the size potential.  The moves `edit` one
     copy of the start's edge list, and only the end state is built."""
     moves = tuple(moves)
-    pool, size = list(start.edges), start.size_total
+    pool = list(start.edges)
     for move in moves:
-        shrunk = size + start.edit(pool, *_operands(move))
-        require(shrunk < size, "every move shrinks the state")
-        size = shrunk
-    return ProtocolTrace(start=start, moves=moves, end=start.edited(pool, size))
+        require(start.edit(pool, *_operands(move)) < 0, "every move shrinks the state")
+    return ProtocolTrace(start=start, moves=moves, end=start.edited(pool))
 
 
 def replay_trace(trace: ProtocolTrace) -> Hypergraph:

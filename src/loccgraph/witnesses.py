@@ -369,16 +369,12 @@ def find_separating_pair(h1: Hypergraph, h2: Hypergraph) -> SeparatingPair:
         pair = (overlap[1], outside[0])
     else:
         # all outside vertices hang off u1; they cannot all share one
-        # h1 hyperedge (that edge would equal e2), so two of them sit
-        # in different u1 edges and are themselves separated
-        groups: dict[Edge, list[int]] = {}
-        for v in outside:
-            host = sorted(e for e in set(h1.edges) if u1 in e and v in e)[0]
-            groups.setdefault(host, []).append(v)
-        require(len(groups) >= 2, "the outside vertices sit in two u1 edges")
+        # h1 hyperedge (that edge would equal e2), so two of them sit in
+        # different u1 edges and are separated: a shared h1 edge other
+        # than their u1 edge would close a cycle through u1
         va = outside[0]
-        host_a = next(host for host, vs in groups.items() if va in vs)
-        vb = min(v for host, vs in groups.items() if host != host_a for v in vs)
+        vb = next((v for v in outside if not _co_edge(h1, va, v)), None)
+        require(vb is not None, "the outside vertices sit in two u1 edges")
         pair = (va, vb)
 
     u, v = sorted(pair)

@@ -224,6 +224,15 @@ def test_enumerate_hypertrees(capsys):
         assert all(len(e) == 3 for e in h.edges)
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_enumerate_hypertrees_rejects_a_count_below_one(capsys, count):
+    # a count below one would print nothing and still exit 0
+    assert main(["enumerate", "hypertrees", "--n", "7", "--count", count]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --count must be at least 1, got {count}\n"
+
+
 def test_export_dot(tmp_path, capsys):
     a = write_state(tmp_path, "a.txt", "agents: 3\ncat: 1 2 3\n")
     code = main(["export-dot", a])

@@ -36,9 +36,10 @@ from loccgraph.merging import (
     DEFAULT_COLOR_BOUND,
     BlockingWitness,
     cut_profiles,
-    iter_bicolorings,
 )
 from loccgraph.enumeration import all_spanning_trees
+
+from coloring_order import iter_bicolorings
 
 
 def oracle_witness(source, target, *, color_bound=DEFAULT_COLOR_BOUND):
@@ -323,12 +324,11 @@ def test_replace_along_random_move_sequences(pair, seed):
         state = nxt
 
 
-def oracle_trusted(agents, edges, size):
+def oracle_trusted(agents, edges):
     """`hypergraph._trusted` as it was: one `object.__setattr__` per field."""
     h = object.__new__(Hypergraph)
     object.__setattr__(h, "agents", agents)
     object.__setattr__(h, "edges", edges)
-    object.__setattr__(h, "_size", size)
     return h
 
 
@@ -355,7 +355,7 @@ def test_trusted_states_match_the_setattr_oracle(pair, k, seed):
         assert got.size_total == old.size_total == sum(map(len, got.edges))
         assert vars(got) == vars(old)
     last = states[-1]
-    for name in ("agents", "edges", "_size", "_index"):
+    for name in ("agents", "edges", "_index"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(last, name, ())
     assert "_index" not in vars(last)

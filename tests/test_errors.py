@@ -5,8 +5,9 @@ IllegalMove, or an AssertionError from `require` (an internal
 inconsistency, which must survive `python -O`, so no `assert` statement
 may carry it).  Only `hypergraph.py` may build an object with
 `object.__new__`, in its one trusted constructor that skips validation.
-No module imports a `_`-prefixed name from another, and every function
-in `cli.py` but its entry points has a caller in the package.
+No module imports a `_`-prefixed name from another, and every top-level
+function but the exported API and the cli entry points has a caller in the
+package.
 """
 
 import ast
@@ -86,15 +87,19 @@ def _referenced(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def test_every_cli_function_has_a_caller_in_src():
-    # a function that only the tests call is dead code; `main`, `build_parser`
-    # and the `cmd_*` handlers are entry points, reached from outside or by name
+def test_every_src_function_has_a_caller_in_src():
+    # a function that only the tests call is dead code; the names `__init__`
+    # exports are the package's API, and `cli.main`, `cli.build_parser` and
+    # the `cmd_*` handlers are entry points, reached from outside or by name
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     referenced = sum(map(_referenced, trees.values()), Counter())
-    uncalled = [node.name for node in trees["cli.py"].body
+    exported = {alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    entry = {("cli.py", "main"), ("cli.py", "build_parser")}
+    uncalled = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
                 if isinstance(node, ast.FunctionDef)
-                and node.name not in {"main", "build_parser"}
-                and not node.name.startswith("cmd_")
+                and node.name not in exported and (name, node.name) not in entry
+                and not (name == "cli.py" and node.name.startswith("cmd_"))
                 and not referenced[node.name] - _referenced(node)[node.name]]
     assert uncalled == []
 

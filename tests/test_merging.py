@@ -18,7 +18,8 @@ from loccgraph import (
 )
 from loccgraph.enumeration import random_spanning_tree
 from loccgraph.errors import BoundExceeded, InputError
-from loccgraph.merging import iter_bicolorings
+
+from coloring_order import iter_bicolorings
 
 
 def H(n, *edges):

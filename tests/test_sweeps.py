@@ -115,6 +115,18 @@ def test_the_tree_sweeps_share_one_classification_per_n(monkeypatch):
     assert report["cat-copy-bound"]["checked"] == 3 + 16 + 125
 
 
+def test_the_tree_count_sweep_rejects_a_repeated_tree():
+    # Cayley's count holds only for distinct trees: a catalog that repeats
+    # one tree in place of another keeps its length and must still fail
+    catalog = sweeps.tree_catalog(5)
+    assert sweeps.tree_count(catalog)["failures"] == []
+    n, trees, classes = catalog[-1]
+    catalog[-1] = (n, [*trees[:-1], trees[0]], classes)
+    assert sweeps.tree_count(catalog) == {
+        "name": "tree-count", "checked": 3,
+        "failures": [{"n": 5, "error": "n^(n-2) distinct labeled trees"}]}
+
+
 def test_the_orbit_reduced_sweeps_count_every_labeled_case_at_n6():
     report = {s["name"]: s for s in sweeps.run_sweeps(6, [3], seed=0, sample_count=1)}
     for name, checked in (("spanning-tree-incomparability", 847_033),

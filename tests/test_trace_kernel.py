@@ -197,14 +197,13 @@ def test_the_one_list_replay_matches_the_stepwise_oracle(h, other, k, seed, leng
 
 @settings(max_examples=300, deadline=None)
 @given(states(), st.integers(1, 4), st.integers(0, 10 ** 6), st.integers(0, 16))
-def test_the_carried_size_is_the_sum_of_edge_sizes(h, k, seed, length):
-    # `copies` and every move carry the size from their parent: it is in
-    # place before the first read, and it is the sum of the edge sizes
+def test_states_carry_no_size_and_sum_their_edges(h, k, seed, length):
+    # `copies` and every move build a state from its agents and edges alone;
+    # its size is read from its edges
     rng = random.Random(seed)
     for state in (h, copies(h, k)):
         for _ in range(length + 1):
-            if state is not h:
-                assert vars(state)["_size"] == oracle_size_total(state)
+            assert set(vars(state)) <= {"agents", "edges", "_index"}
             assert state.size_total == oracle_size_total(state)
             options = legal_moves(state)
             if not options:

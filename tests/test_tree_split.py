@@ -27,7 +27,6 @@ from loccgraph.merging import (
     Bicoloring,
     bcm_cut,
     cut_profiles,
-    iter_bicolorings,
     make_witness,
 )
 from loccgraph.witnesses import (
@@ -36,6 +35,8 @@ from loccgraph.witnesses import (
     tree_table,
     witness_distinct_spanning_trees,
 )
+
+from coloring_order import iter_bicolorings
 
 
 def oracle_split(t1, t2):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from loccgraph import (
     Bicoloring,
     Hypergraph,
+    SeparatingPair,
     bcm_cut,
     cat_state,
     check_order_chain,
@@ -32,6 +33,7 @@ from loccgraph import (
     witness_pendant_condition,
     witness_r_uniform_hypertrees,
 )
+from loccgraph import witnesses
 from loccgraph.enumeration import all_spanning_trees, random_spanning_tree
 from loccgraph.errors import BoundExceeded, InputError
 from loccgraph.merging import cheap_cuts, make_witness
@@ -413,6 +415,76 @@ def test_r_uniform_seeded_sweep():
             fwd, bwd = witness_r_uniform_hypertrees(h1, h2)
             check_witness(fwd, h1, h2)
             check_witness(bwd, h2, h1)
+
+
+def oracle_separating_pair(h1, h2):
+    """`find_separating_pair` as it was, when its third branch grouped the
+    outside vertices by their h1 edge through u1; also the branch that
+    answered (1, 2 or 3)."""
+    def co_edge(h, a, b):
+        return any(a in e and b in e for e in h.edges)
+
+    common = set(h1.edges) & set(h2.edges)
+    e2 = sorted(set(h2.edges) - common)[0]
+    e1 = sorted(e for e in set(h1.edges) if e2[0] in e)[0]
+    overlap = sorted(set(e1) & set(e2))
+    outside = sorted(set(e2) - set(e1))
+    u1 = overlap[0]
+    v = next((v for v in outside if not co_edge(h1, u1, v)), None)
+    if v is not None:
+        pair, branch = (u1, v), 1
+    elif len(overlap) > 1:
+        pair, branch = (overlap[1], outside[0]), 2
+    else:
+        groups = {}
+        for v in outside:
+            host = sorted(e for e in set(h1.edges) if u1 in e and v in e)[0]
+            groups.setdefault(host, []).append(v)
+        assert len(groups) >= 2
+        va = outside[0]
+        host_a = next(host for host, vs in groups.items() if va in vs)
+        vb = min(v for host, vs in groups.items() if host != host_a for v in vs)
+        pair, branch = (va, vb), 3
+    u, v = sorted(pair)
+    assert co_edge(h2, u, v) and not co_edge(h1, u, v)
+    return SeparatingPair(u, v), branch
+
+
+def _seeded_pair(n, r, s):
+    return (random_r_uniform_hypertree(n, r, seed=2 * s),
+            random_r_uniform_hypertree(n, r, seed=2 * s + 1))
+
+
+def _same_as_the_oracle(h1, h2):
+    """The pair, and both direction proofs built around it, are the
+    oracle's; returns the oracle's branch."""
+    expected, branch = oracle_separating_pair(h1, h2)
+    assert find_separating_pair(h1, h2) == expected
+    proofs = r_uniform_incomparability(h1, h2)
+    with mock.patch.object(witnesses, "find_separating_pair",
+                           lambda a, b: oracle_separating_pair(a, b)[0]):
+        assert proofs == r_uniform_incomparability(h1, h2)
+    return branch
+
+
+# (n, r, s) for seeds 2s and 2s + 1 whose pair the third branch answers; in
+# the last four the second outside vertex shares an h1 edge with the first
+THIRD_BRANCH = [(7, 3, 187), (9, 3, 50), (13, 3, 69), (10, 4, 300), (10, 4, 19),
+                (13, 4, 430), (16, 4, 2843), (13, 5, 1121)]
+
+
+@pytest.mark.parametrize("n, r, s", THIRD_BRANCH)
+def test_the_separating_pair_matches_the_host_table_oracle_in_its_third_branch(n, r, s):
+    assert _same_as_the_oracle(*_seeded_pair(n, r, s)) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(7, 3), (9, 3), (11, 3), (13, 3), (7, 4), (10, 4), (13, 4),
+                        (9, 5), (13, 5), (11, 6)]), st.integers(0, 10 ** 6))
+def test_the_separating_pair_matches_the_host_table_oracle(nr, s):
+    h1, h2 = _seeded_pair(*nr, s)
+    if set(h1.edges) != set(h2.edges):
+        _same_as_the_oracle(h1, h2)
 
 
 # ---------------------------------------------------------------------------
