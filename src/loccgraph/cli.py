@@ -59,58 +59,43 @@ def dumps(obj) -> str:
     `indent=2` runs a pure-Python generator per value.  Here each value
     returns its text, given `indent`, a newline and the indent of its
     closing line; a container joins its children's text one level deeper.
-    A trace repeats its edges and moves, so a list of plain ints and a move
-    of plain-int fields keep their text for the call, keyed by indent and
-    value; `1 == True == 1.0` print apart, so the exact-type tests keep any
-    value holding a bool or float out of that memo.  A value with no JSON
-    form, such as a set or a non-string key, is an internal inconsistency."""
+    A trace repeats its edges and moves, so every value but a str or a
+    plain int keeps its text for the call, keyed by indent and identity.
+    Each entry holds its value too, so no temporary, such as a `to_json`
+    dict, can free its id for another value while the memo lives.  A value
+    with no JSON form, such as a set or a non-string key, is an internal
+    inconsistency."""
     texts: dict = {}
 
     def text(value, indent: str) -> str:
-        kind = type(value)  # exact types first; subclasses take the isinstance tests below
-        if kind is list or kind is tuple:
-            if not value:
-                return "[]"
-            inner = indent + "  "
-            if set(map(type, value)) != {int}:
-                items = [text(item, inner) for item in value]
-                return "[" + inner + f",{inner}".join(items) + indent + "]"
-            if (found := texts.get(key := (indent, *value))) is None:
-                found = texts[key] = "[" + inner + f",{inner}".join(map(str, value)) + indent + "]"
-            return found
-        if kind is dict:
-            if not value:
-                return "{}"
-            inner = indent + "  "
+        if isinstance(value, str):  # a str subclass writes as its text
+            return encode_basestring_ascii(value)
+        if type(value) is int:
+            return int.__repr__(value)
+        if (found := texts.get((indent, id(value)))) is not None:
+            return found[1]
+        inner = indent + "  "
+        if isinstance(value, (list, tuple)):  # a namedtuple is written as a list
+            out = ("[" + inner + f",{inner}".join([text(item, inner) for item in value])
+                   + indent + "]") if value else "[]"
+        elif isinstance(value, dict):
             parts = []
             for key, item in value.items():
                 if not isinstance(key, str):  # the message is formatted only for a bad key
                     require(False, f"a report key is not a string: {key!r}")
                 parts.append(encode_basestring_ascii(key) + ": " + text(item, inner))
-            return "{" + inner + f",{inner}".join(parts) + indent + "}"
-        if isinstance(value, str):  # a str subclass writes as its text
-            return encode_basestring_ascii(value)
-        if kind is int:
-            return int.__repr__(value)
-        if kind in MOVE_FIELDS and {type(m) for f in vars(value).values()
-                                    for m in (f if type(f) is tuple else (f,))} == {int}:
-            if (found := texts.get(key := (indent, value))) is None:
-                found = texts[key] = text(to_json(value), indent)
-            return found
-        if isinstance(value, (list, tuple, dict)):  # a namedtuple is written as a list
-            return text(dict(value) if isinstance(value, dict) else list(value), indent)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            return ("NaN" if value != value else "Infinity" if value == _INF
-                    else "-Infinity" if value == -_INF else float.__repr__(value))
-        return text(to_json(value), indent)
+            out = "{" + inner + f",{inner}".join(parts) + indent + "}" if parts else "{}"
+        elif value is None or value is True or value is False:
+            out = "null" if value is None else "true" if value else "false"
+        elif isinstance(value, int):  # an int subclass, such as an IntEnum
+            out = int.__repr__(value)
+        elif isinstance(value, float):
+            out = ("NaN" if value != value else "Infinity" if value == _INF
+                   else "-Infinity" if value == -_INF else float.__repr__(value))
+        else:
+            out = text(to_json(value), indent)
+        texts[indent, id(value)] = value, out
+        return out
 
     return text(obj, "\n")
 

@@ -148,8 +148,8 @@ def check_order_chain(n: int) -> OrderChain:
     )
 
 
-def witness_cat_copies_vs_tree(n: int, t: Hypergraph) -> BlockingWitness:
-    """n-2 copies of the n-CAT over the tree's agents cannot produce the
+def witness_cat_copies_vs_tree(t: Hypergraph) -> BlockingWitness:
+    """n-2 copies of the n-CAT over the tree's n agents cannot produce the
     spanning tree.
 
     The proper 2-coloring of the tree cuts all n-1 tree edges but each CAT
@@ -157,8 +157,7 @@ def witness_cat_copies_vs_tree(n: int, t: Hypergraph) -> BlockingWitness:
     """
     if not is_spanning_epr_tree(t):
         raise InputError("target is not a spanning EPR tree")
-    if t.n != n:
-        raise InputError(f"tree spans {t.n} agents, not {n}")
+    n = t.n
     if n < 3:
         raise InputError("need at least three agents")
     source = copies(Hypergraph(t.agents, (t.agents,)), n - 2)

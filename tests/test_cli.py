@@ -5,6 +5,7 @@ import ast
 import hashlib
 import inspect
 import json
+import re
 import textwrap
 
 import pytest
@@ -33,7 +34,8 @@ from loccgraph.cli import (
     to_json,
     trace_from_json,
 )
-from loccgraph.errors import InputError
+from loccgraph.errors import IllegalMove, InputError
+from loccgraph.protocols import ProtocolTrace, apply_move, replay_trace
 
 
 def write_state(tmp_path, name, text):
@@ -432,6 +434,51 @@ def test_replay_rejects_malformed_trace(tmp_path, capsys, payload, field):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert len(err.splitlines()) == 1
+
+
+GHZ3 = {"agents": [1, 2, 3], "edges": [[1, 2, 3]]}
+
+
+# each trace, which claims to end at the GHZ state, is tampered in one way:
+# through `replay` it exits 2 with one line, and through the API the same
+# fault raises its taxonomy class
+@pytest.mark.parametrize("start,move,call,error,message", [
+    pytest.param({"agents": [1, 2, 3], "edges": [[1, 2], [2, 3]]}, None,
+                 lambda: replay_trace(ProtocolTrace(path_tree(3), (), cat_state(3))),
+                 IllegalMove, "trace end state does not", id="end-does-not-replay"),
+    pytest.param({"agents": [1, 1, 2], "edges": []}, None,
+                 lambda: Hypergraph((1, 1, 2)),
+                 InputError, "agent labels must be unique", id="duplicate-agent"),
+    pytest.param(GHZ3, {"kind": "measure_out", "edge": [1, 2, 3], "agent": 4},
+                 lambda: apply_move(cat_state(3), MeasureOut((1, 2, 3), 4)),
+                 IllegalMove, "agent 4 not in hyperedge (1, 2, 3)", id="measure-out-agent"),
+    pytest.param({"agents": [1, 2, 3], "edges": [[1, 2, 3], [2, 3]]},
+                 {"kind": "swap", "left": [1, 2, 3], "right": [2, 3]},
+                 lambda: apply_move(Hypergraph((1, 2, 3), ((1, 2, 3), (2, 3))),
+                                    Swap((1, 2, 3), (2, 3))),
+                 IllegalMove, "swap operates on two EPR pairs", id="swap-non-pair"),
+    pytest.param({"agents": [1, 2, 3, 4], "edges": [[1, 2], [2, 3, 4]]},
+                 {"kind": "cat_expand", "edge": [1, 2], "pair": [2, 3, 4]},
+                 lambda: apply_move(Hypergraph((1, 2, 3, 4), ((1, 2), (2, 3, 4))),
+                                    CatExpand((1, 2), (2, 3, 4))),
+                 IllegalMove, "cat expansion consumes an EPR pair", id="cat-expand-non-pair"),
+    # the codec rejects an unknown kind by name; the calculus, any other value
+    pytest.param(GHZ3, {"kind": "teleport", "edge": [1, 2, 3]},
+                 lambda: apply_move(cat_state(3), Discard),
+                 IllegalMove, "unknown move", id="unknown-move"),
+])
+def test_a_tampered_trace_exits_2_and_raises_its_class(tmp_path, capsys, start, move,
+                                                       call, error, message):
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps({"start": start, "moves": [move] if move else [],
+                                      "end": GHZ3}))
+    assert main(["replay", str(trace_file)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_replay_applies_each_move_once(tmp_path, monkeypatch, capsys):

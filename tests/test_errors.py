@@ -18,7 +18,19 @@ from collections import Counter
 import pytest
 
 import loccgraph
-from loccgraph import errors
+from loccgraph import (
+    Bicoloring,
+    cat_state,
+    errors,
+    path_tree,
+    random_r_uniform_hypertree,
+    reachability_search,
+    star_tree,
+    witness_pendant_condition,
+    witness_r_uniform_hypertrees,
+)
+from loccgraph.merging import make_witness
+from loccgraph.witnesses import structural_witness
 
 SOURCES = sorted(pathlib.Path(loccgraph.__file__).parent.glob("*.py"))
 ALLOWED = {"InputError", "BoundExceeded", "IllegalMove", "AssertionError"}
@@ -112,3 +124,19 @@ def test_errors_module_defines_the_taxonomy():
     for name in classes - {"LoccError"}:
         assert issubclass(getattr(errors, name), errors.LoccError)
 
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Bicoloring((1, 2, 3), {4}), "A-side contains unknown agents"),
+    (lambda: make_witness(path_tree(3), path_tree(4), Bicoloring((1, 2, 3), {1})),
+     "share no common agent set"),
+    (lambda: reachability_search(path_tree(3), star_tree(4)), "share one agent set"),
+    (lambda: witness_pendant_condition(path_tree(4), star_tree(5)), "share one agent set"),
+    (lambda: witness_r_uniform_hypertrees(random_r_uniform_hypertree(5, 3, 0),
+                                          random_r_uniform_hypertree(7, 3, 0)),
+     "share one agent set"),
+    (lambda: structural_witness(cat_state(3), cat_state(4)), "share one agent set"),
+], ids=["bicoloring", "make_witness", "reachability_search", "witness_pendant_condition",
+        "witness_r_uniform_hypertrees", "structural_witness"])
+def test_states_over_different_agents_raise_input_error(call, message):
+    with pytest.raises(errors.InputError, match=message):
+        call()

@@ -120,6 +120,24 @@ def test_the_memo_keeps_equal_values_that_print_apart_apart(value):
     assert dumps(value) == oracle(plain(value))
 
 
+def test_fresh_values_are_written_as_themselves():
+    # a move's or a state's `to_json` dict is a temporary: a memo keyed by
+    # identity that did not hold it would let its id, and so its text, pass
+    # to the next value built in its place
+    moves = [move for i in range(300) for move in (
+        Discard((i, i + 1)), MeasureOut((i, i + 1, i + 2), i + 1),
+        Swap((i, i + 1), (i + 1, i + 2)), CatExpand((i, i + 1, i + 2), (i + 2, i + 3)))]
+    states = [t for n in range(2, 40) for t in (path_tree(n), star_tree(n))]
+    assert len(set(moves)) == len(moves) >= 1000
+    for written, expected in ((dumps(moves), oracle(plain(moves))),
+                              (dumps(states), oracle([{"agents": t.agents, "edges": t.edges}
+                                                      for t in states]))):
+        lines = zip(written.splitlines(), expected.splitlines())
+        # name the first line that differs: pytest's verbose diff of two long texts takes minutes
+        assert next((i for i, (w, e) in enumerate(lines) if w != e), None) is None
+        assert written == expected
+
+
 def test_distance_writes_each_distinct_move_once(tmp_path):
     t1, t2 = path_tree(8), star_tree(8)
     paths = []
@@ -131,9 +149,12 @@ def test_distance_writes_each_distinct_move_once(tmp_path):
     assert len(moves) > len(set(moves))  # the trace repeats moves from copy to copy
     with mock.patch.object(cli, "to_json", wraps=cli.to_json) as to_json:
         assert main(["distance", "--json", *paths]) == 0
-    # the trace, its start, each distinct move once, in trace order, and its end
-    assert [call.args[0] for call in to_json.call_args_list] == [
-        trace, trace.start, *dict.fromkeys(moves), trace.end]
+    # the trace, its start, each distinct move object once, in trace order, and its end
+    written = [call.args[0] for call in to_json.call_args_list]
+    assert written == [trace, trace.start, *{id(m): m for m in moves}.values(), trace.end]
+    # the copies protocol shares one Discard per tree edge, so each is written once
+    discards = [m for m in written if type(m) is Discard]
+    assert len(discards) == len(set(discards)) < sum(type(m) is Discard for m in moves)
 
 
 def test_a_distance_report_is_written_byte_for_byte(tmp_path, capsys):

@@ -185,13 +185,13 @@ def test_order_chain(n):
 # ---------------------------------------------------------------------------
 
 def test_cat_copies_vs_path():
-    w = witness_cat_copies_vs_tree(3, H(3, (1, 2), (2, 3)))
+    w = witness_cat_copies_vs_tree(H(3, (1, 2), (2, 3)))
     assert w.coloring.a_side == {2}
     assert (w.source_cut, w.target_cut) == (1, 2)
 
 
 def test_cat_copies_vs_star():
-    w = witness_cat_copies_vs_tree(4, star_tree(4))
+    w = witness_cat_copies_vs_tree(star_tree(4))
     assert w.coloring.a_side == {1}
     assert (w.source_cut, w.target_cut) == (2, 3)
     check_witness(w, copies(cat_state(4), 2), star_tree(4))
@@ -199,7 +199,7 @@ def test_cat_copies_vs_star():
 
 def test_cat_copies_vs_tree_on_other_labels():
     t = Hypergraph((2, 3, 4), ((2, 3), (3, 4)))
-    w = witness_cat_copies_vs_tree(3, t)
+    w = witness_cat_copies_vs_tree(t)
     assert w.coloring.a_side == {3}
     assert (w.source_cut, w.target_cut) == (1, 2)
     check_witness(w, Hypergraph((2, 3, 4), ((2, 3, 4),)), t)
@@ -212,7 +212,7 @@ def test_cat_copies_vs_tree_keeps_its_witnesses_on_agents_one_to_n():
         for t in all_spanning_trees(n):
             before = make_witness(copies(cat_state(n), n - 2), t,
                                   Bicoloring(t.agents, _proper_two_coloring(t)))
-            assert witness_cat_copies_vs_tree(n, t) == before
+            assert witness_cat_copies_vs_tree(t) == before
 
 
 @settings(max_examples=100, deadline=None)
@@ -223,7 +223,7 @@ def test_cat_copies_vs_tree_on_relabeled_trees(labels, seed):
     t = random_spanning_tree(n, seed)
     to = dict(zip(t.agents, labels))
     relabeled = Hypergraph(tuple(labels), tuple((to[a], to[b]) for a, b in t.edges))
-    w, plain = witness_cat_copies_vs_tree(n, relabeled), witness_cat_copies_vs_tree(n, t)
+    w, plain = witness_cat_copies_vs_tree(relabeled), witness_cat_copies_vs_tree(t)
     assert w.coloring.a_side == {to[a] for a in plain.coloring.a_side}
     assert (w.source_cut, w.target_cut) == (plain.source_cut, plain.target_cut)
     check_witness(w, copies(Hypergraph(tuple(labels), (tuple(labels),)), n - 2), relabeled)
