@@ -7,7 +7,9 @@ edge multiset may contain repeats: k copies of the same shared state are k
 equal hyperedges.
 
 Everything here is an immutable value; all operations are pure functions
-but `Hypergraph.edit`, which edits the caller's own edge list in place.
+but `Hypergraph.edit`, which edits the caller's own edge list in place.  An
+entangled hypertree's `tree_table` answers its cuts and hyperpaths from one
+walk; whoever reads it holds it, and the state never keeps it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import IllegalMove, InputError
 
@@ -157,10 +160,8 @@ def copies(h: Hypergraph, k: int) -> Hypergraph:
 # structural predicates
 # ---------------------------------------------------------------------------
 
-def reach(h: Hypergraph, start: int, skip: Edge | None = None,
-          ) -> dict[int, tuple[int, Edge] | None]:
-    """Breadth-first walk from `start` that never crosses the hyperedge
-    value `skip`.
+def reach(h: Hypergraph, start: int) -> dict[int, tuple[int, Edge] | None]:
+    """Breadth-first walk from `start`.
 
     Returns the reached agents in discovery order, each mapped to the
     (agent, hyperedge) it was first reached through; `start` maps to None.
@@ -178,11 +179,10 @@ def reach(h: Hypergraph, start: int, skip: Edge | None = None,
     frontier = [start]
     for x in frontier:
         for e in index[x]:
-            if e != skip:
-                for y in e:
-                    if y not in via:
-                        via[y] = (x, e)
-                        frontier.append(y)
+            for y in e:
+                if y not in via:
+                    via[y] = (x, e)
+                    frontier.append(y)
     return via
 
 
@@ -193,20 +193,6 @@ def components(h: Hypergraph) -> list[frozenset[int]]:
         if not any(a in c for c in comps):
             comps.append(frozenset(reach(h, a)))
     return comps
-
-
-def hyperpath(h: Hypergraph, a: int, b: int) -> tuple[list[Edge], list[int]]:
-    """A shortest hyperpath a -> b (the unique one in a hypertree): its
-    edges and the junction vertices between consecutive edges."""
-    via = reach(h, a)
-    if b not in via:
-        raise InputError(f"no hyperpath between {a} and {b}")
-    vertices, edges = [b], []  # walked back from b to a
-    while via[vertices[-1]] is not None:
-        prev, e = via[vertices[-1]]
-        vertices.append(prev)
-        edges.append(e)
-    return edges[::-1], vertices[-2:0:-1]
 
 
 def is_connected(h: Hypergraph) -> bool:
@@ -236,16 +222,68 @@ def require_tree_pair(t1: Hypergraph, t2: Hypergraph) -> None:
 
 def is_entangled_hypertree(h: Hypergraph) -> bool:
     """True iff h is connected with no pair of agents joined by two
-    distinct hyperpaths.
-
-    Implemented via the incidence-graph criterion: the bipartite graph with
-    agents on one side and hyperedge instances on the other (membership as
-    edges) must be a tree.  Duplicate hyperedges always create a cycle
-    there, so hypertrees are automatically multiplicity-free.  The
-    incidence graph's link count (`size_total`) is compared with its node
-    count before the walk, so a state whose counts differ costs no walk.
-    """
+    distinct hyperpaths: the test of `tree_table`, without its table."""
     return h.size_total == h.n + len(h.edges) - 1 and is_connected(h)
+
+
+@dataclass(frozen=True)
+class TreeTable:
+    """An entangled hypertree rooted at its lowest agent, built by
+    `tree_table` and handed to whatever reads it: each agent's parent, the
+    hyperedge it hangs from, its depth and its subtree, as a bitmask over
+    agent positions (agent `tree.agents[p]` is bit p)."""
+
+    tree: Hypergraph
+    bit: dict[int, int]
+    parent: dict[int, int]            # the root is its own parent
+    edge: dict[int, Edge]             # () at the root
+    depth: dict[int, int]
+    below: dict[int, int]
+
+    def side(self, x: int, e: Edge) -> int:
+        """The agents x still reaches once the hyperedge e is cut: the subtree
+        hanging from e that holds x, else all but the subtrees hanging from e."""
+        below, rest = self.below, self.below[self.tree.agents[0]]
+        for m in e:
+            if self.edge[m] == e:
+                if below[m] & self.bit[x]:
+                    return below[m]
+                rest ^= below[m]
+        return rest
+
+    def path(self, x: int, y: int) -> tuple[list[Edge], list[int]]:
+        """The hyperpath x -> y: its edges, and the junctions between
+        consecutive edges.  It is climbed from both ends until they meet, or
+        until they are two siblings hanging from one edge, one step apart."""
+        parent, depth, edge = self.parent, self.depth, self.edge
+        up, down = [x], [y]
+        while edge[x] != edge[y]:
+            if depth[x] >= depth[y]:
+                up.append(x := parent[x])
+            else:
+                down.append(y := parent[y])
+        if x != y:  # siblings: the step between them is their edge
+            down.append(x)
+        down = down[-2::-1]
+        return [edge[a] for a in up[:-1] + down], (up + down)[1:-1]
+
+
+def tree_table(h: Hypergraph) -> TreeTable | None:
+    """The rooted table of h, from one walk; None unless h is an entangled
+    hypertree: unless its incidence graph (agents and hyperedge instances,
+    linked by membership; a repeated hyperedge closes a cycle there) is a
+    tree.  Link and node counts are compared first, so a miss costs no walk."""
+    root = h.agents[0]
+    if h.size_total != h.n + len(h.edges) - 1 or len(via := reach(h, root)) != h.n:
+        return None
+    bit = {a: 1 << p for p, a in enumerate(h.agents)}
+    parent, edge, depth, below = {root: root}, {root: ()}, {root: 0}, dict(bit)
+    # discovery order puts every agent after its parent
+    for y, (x, e) in islice(via.items(), 1, None):
+        parent[y], edge[y], depth[y] = x, e, depth[x] + 1
+    for y in islice(reversed(via), h.n - 1):
+        below[parent[y]] |= below[y]
+    return TreeTable(h, bit, parent, edge, depth, below)
 
 
 def uniformity(h: Hypergraph) -> int | None:

@@ -28,10 +28,10 @@ from .hypergraph import (
     Hypergraph,
     cat_state,
     copies,
-    hyperpath,
     is_spanning_epr_tree,
     reach,
     require_tree_pair,
+    tree_table,
 )
 from .merging import cheap_cuts
 
@@ -210,8 +210,9 @@ def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:
     start = copies(t1, len(missing) + 1)
     common = set(t2.edges)
     moves: list[LoccMove] = [d for e, d in discards.items() if e not in common]
+    table = tree_table(t1)
     for a, b in missing:
-        path_edges, junctions = hyperpath(t1, a, b)
+        path_edges, junctions = table.path(a, b)
         current = path_edges[0]
         # swap at each junction: the accumulated pair (a, j) and the next hop
         for hop, nxt in zip(path_edges[1:], [*junctions[1:], b]):

@@ -22,14 +22,13 @@ from . import distance
 from .errors import LoccError, require
 from .enumeration import (all_spanning_trees, random_r_uniform_hypertree,
                           random_spanning_tree, tree_classes)
-from .hypergraph import Hypergraph, cat_state, pendant_vertices
+from .hypergraph import Hypergraph, cat_state, pendant_vertices, tree_table
 from .merging import Bicoloring, bcm_cut, cut_profiles
 from .protocols import apply_move, cat_copies_to_tree, legal_moves, replay_trace
 from .witnesses import (
     check_order_chain,
     r_uniform_incomparability,
     split_trees,
-    tree_table,
     witness_cat_vs_disconnected,
     witness_pendant_condition,
 )

@@ -9,7 +9,8 @@ the exhaustive scan in :mod:`loccgraph.merging`.
 
 Nondeterministic choices ("take any vertex") always resolve to the lowest
 agent or lexicographically least hyperedge, so emitted proofs are
-reproducible.
+reproducible.  The tree split and the hypertree case analysis read each
+state's cuts and hyperpaths from its `tree_table`, built once per call.
 """
 
 from __future__ import annotations
@@ -20,16 +21,15 @@ from .errors import InputError, require
 from .hypergraph import (
     Edge,
     Hypergraph,
+    TreeTable,
     cat_state,
     components,
     copies,
     epr_pair,
-    hyperpath,
-    is_entangled_hypertree,
     is_spanning_epr_tree,
     pendant_vertices,
     path_tree,
-    reach,
+    tree_table,
     uniformity,
 )
 from .merging import (Bicoloring, BlockingWitness, cheap_cuts, find_blocking_witness,
@@ -50,7 +50,7 @@ def _proper_two_coloring(t: Hypergraph) -> frozenset[int]:
     """A-side of the proper 2-coloring of a tree: the smaller depth-parity
     class of its `tree_table` (ties broken to the class not containing the
     lowest agent, the table's root)."""
-    odd = frozenset(a for a, d in zip(t.agents, tree_table(t).depth) if d & 1)
+    odd = frozenset(a for a, d in tree_table(t).depth.items() if d & 1)
     return min(odd, frozenset(t.agents) - odd, key=len)  # min keeps odd on a tie
 
 
@@ -183,53 +183,6 @@ class TreeSplit:
     colored_a: frozenset[int]         # component of i in t1 minus {i, k1}
 
 
-@dataclass(frozen=True)
-class TreeTable:
-    """What the tree split reads of one spanning tree, built once per tree
-    by `tree_table`: the tree rooted at its lowest agent, as tuples indexed
-    by agent position (agent `tree.agents[p]` is position p).  Agent sets
-    are bitmasks over those positions."""
-
-    tree: Hypergraph
-    position: dict[int, int]
-    parent: tuple[int, ...]           # the root is its own parent
-    depth: tuple[int, ...]
-    below: tuple[int, ...]            # each agent's subtree
-
-    def side(self, x: int, y: int) -> int:
-        """The agents on x's side once the tree edge {x, y} is cut."""
-        if self.parent[x] == y:
-            return self.below[x]
-        return self.below[0] ^ self.below[y]
-
-    def path(self, x: int, y: int) -> tuple[int, ...]:
-        """The tree path x, ..., y, climbed from both ends to their meet."""
-        up, down = [x], [y]
-        while up[-1] != down[-1]:
-            if self.depth[up[-1]] >= self.depth[down[-1]]:
-                up.append(self.parent[up[-1]])
-            else:
-                down.append(self.parent[down[-1]])
-        return (*up, *down[-2::-1])
-
-
-def tree_table(t: Hypergraph) -> TreeTable:
-    """The tree split's table of `t`; raises unless t is a spanning EPR tree."""
-    if not is_spanning_epr_tree(t):
-        raise InputError("both inputs must be spanning EPR trees")
-    position = {a: p for p, a in enumerate(t.agents)}
-    parent, depth = [0] * t.n, [0] * t.n
-    below = [1 << p for p in range(t.n)]
-    # discovery order puts every agent after its parent
-    steps = [(position[y], position[step[0]])
-             for y, step in reach(t, t.agents[0]).items() if step is not None]
-    for child, up in steps:
-        parent[child], depth[child] = up, depth[up] + 1
-    for child, up in reversed(steps):
-        below[up] |= below[child]
-    return TreeTable(t, position, tuple(parent), tuple(depth), tuple(below))
-
-
 def split_trees(s1: TreeTable, s2: TreeTable) -> tuple[TreeSplit, BlockingWitness]:
     """The t1 -/-> t2 tree split, from the tables of t1 and t2.
 
@@ -241,33 +194,30 @@ def split_trees(s1: TreeTable, s2: TreeTable) -> tuple[TreeSplit, BlockingWitnes
     if t1.agents != t2.agents:
         raise InputError("trees must span the same agents")
     # the pivot: the least t2 edge missing from t1
-    for a, b in t2.edges:
-        i, j = s1.position[a], s1.position[b]
-        if s1.parent[i] != j and s1.parent[j] != i:
+    bit, parent = s1.bit, s1.parent
+    for pivot in t2.edges:
+        i, j = pivot
+        if parent[i] != j and parent[j] != i:
             break
     else:
         raise InputError("the trees coincide")
 
-    side_i = s2.side(i, j) & ~(1 << i)
-    side_j = s2.side(j, i) & ~(1 << j)
+    side_i, side_j = s2.side(i, pivot) & ~bit[i], s2.side(j, pivot) & ~bit[j]
     require(not side_i & side_j, "the pivot's two sides are disjoint")
     require(bool(side_i | side_j), "the pivot's sides are not both empty")
 
-    path = s1.path(i, j)
-    require(bool((side_i | side_j) >> path[1] & 1), "the first path vertex lies off the pivot")
-    if not side_i >> path[1] & 1:
+    edges, junctions = s1.path(i, j)
+    path, first = (i, *junctions, j), edges[0]
+    require(bool((side_i | side_j) & bit[path[1]]), "the first path vertex lies off the pivot")
+    if not side_i & bit[path[1]]:
         # anchor at the other endpoint so the second t2 crossing is forced
-        i, j = j, i
-        path = path[::-1]
-    colored = s1.side(i, path[1])
+        i, j, path, first = j, i, path[::-1], edges[-1]
+    colored = s1.side(i, first)
 
-    agents = t1.agents
-    colored_a = frozenset(a for p, a in enumerate(agents) if colored >> p & 1)
-    witness = make_witness(t1, t2, Bicoloring(agents, colored_a))
+    colored_a = frozenset(a for a in t1.agents if colored & bit[a])
+    witness = make_witness(t1, t2, Bicoloring(t1.agents, colored_a))
     require(witness.source_cut == 1, "the tree split cuts t1 once")
-    split = TreeSplit(pivot_edge=(agents[i], agents[j]),
-                      source_path=tuple(agents[p] for p in path), colored_a=colored_a)
-    return split, witness
+    return TreeSplit(pivot_edge=(i, j), source_path=path, colored_a=colored_a), witness
 
 
 def witness_distinct_spanning_trees(t1: Hypergraph, t2: Hypergraph,
@@ -275,7 +225,10 @@ def witness_distinct_spanning_trees(t1: Hypergraph, t2: Hypergraph,
     """Any two distinct spanning trees are LOCC-incomparable; this builds
     the t1 -/-> t2 direction (swap arguments for the reverse) with
     `split_trees`."""
-    return split_trees(tree_table(t1), tree_table(t2))
+    s1, s2 = (tree_table(t) if all(len(e) == 2 for e in t.edges) else None for t in (t1, t2))
+    if s1 is None or s2 is None:
+        raise InputError("both inputs must be spanning EPR trees")
+    return split_trees(s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +274,33 @@ class SeparatingPair:
     v: int
 
 
-def _require_r_uniform_hypertrees(h1: Hypergraph, h2: Hypergraph) -> int:
-    """The common r of two distinct r-uniform entangled hypertrees over one
-    agent set; raises InputError for any other pair."""
+def _hypertree_tables(h1: Hypergraph, h2: Hypergraph) -> tuple[int, TreeTable, TreeTable]:
+    """The common r and the tables of two distinct r-uniform entangled
+    hypertrees over one agent set, one walk each; raises InputError for any
+    other pair."""
     if h1.agents != h2.agents:
         raise InputError("hypertrees must share one agent set")
-    for h in (h1, h2):
-        if not is_entangled_hypertree(h):
-            raise InputError("input is not an entangled hypertree")
+    s1, s2 = tree_table(h1), tree_table(h2)
+    if s1 is None or s2 is None:
+        raise InputError("input is not an entangled hypertree")
     r1, r2 = uniformity(h1), uniformity(h2)
     if r1 is None or r2 is None or r1 != r2:
         raise InputError("inputs are not r-uniform for one common r")
     if set(h1.edges) == set(h2.edges):
         raise InputError("the hypertrees coincide")
-    return r1
+    return r1, s1, s2
 
 
 def find_separating_pair(h1: Hypergraph, h2: Hypergraph) -> SeparatingPair:
     """A pair co-edged in h2 but separated in h1, for distinct r-uniform
-    hypertrees with r >= 3.
+    hypertrees with r >= 3."""
+    _hypertree_tables(h1, h2)
+    return _separating_pair(h1, h2)
+
+
+def _separating_pair(h1: Hypergraph, h2: Hypergraph) -> SeparatingPair:
+    """`find_separating_pair` for a pair already checked; raises InputError
+    for r = 2.
 
     Construction: take the least h2 hyperedge E2 outside the common edge
     set, its least member w, and the least h1 hyperedge E1 containing w;
@@ -347,8 +308,7 @@ def find_separating_pair(h1: Hypergraph, h2: Hypergraph) -> SeparatingPair:
     ties by canonical order, and the result is validated by a direct
     co-occurrence scan.
     """
-    r = _require_r_uniform_hypertrees(h1, h2)
-    if r < 3:
+    if len(h1.edges[0]) < 3:
         raise InputError("r = 2 is the spanning-tree case; use the tree split")
     common = set(h1.edges) & set(h2.edges)
     e2 = sorted(set(h2.edges) - common)[0]
@@ -393,43 +353,49 @@ class HypertreeProof:
     witness: BlockingWitness
 
 
-def _hypertree_direction(h1: Hypergraph, h2: Hypergraph) -> HypertreeProof:
-    """Case analysis around the separating pair (u, v).
+def _hypertree_direction(s1: TreeTable, s2: TreeTable) -> HypertreeProof:
+    """Case analysis around the separating pair (u, v), from the tables of
+    h1 and h2, whose bitmasks are its agent sets.
 
     All colorings cut h1 at exactly one hyperedge (one component of the
     cut edge against the rest), chosen so that the pair's h2 hyperedge is
     bichromatic and some second h2 edge must cross as well.
     """
-    pair = find_separating_pair(h1, h2)
+    h1, h2 = s1.tree, s2.tree
+    pair = _separating_pair(h1, h2)
     u, v = pair.u, pair.v
     shared = next(e for e in h2.edges if u in e and v in e)
-    path_edges, junctions = hyperpath(h1, u, v)
+    path_edges, junctions = s1.path(u, v)
     require(len(path_edges) >= 2, "the separated pair is two h1 edges apart")
     r = len(shared)
+    bit, everyone = s1.bit, s1.below[h1.agents[0]]
 
     # how h2 falls apart around the shared edge
-    comp2 = {x: frozenset(reach(h2, x, skip=shared)) for x in shared}
-    side_u2 = comp2[u] - {u}
-    side_v2 = comp2[v] - {v}
+    comp2 = {x: s2.side(x, shared) for x in shared}
+    side_u2, side_v2 = comp2[u] & ~bit[u], comp2[v] & ~bit[v]
 
     # how h1 falls apart around the path ends
-    a_u = frozenset(reach(h1, u, skip=path_edges[0]))
-    a_v = frozenset(reach(h1, v, skip=path_edges[-1]))
-    middle = frozenset(h1.agents) - a_u - a_v
+    a_u, a_v = s1.side(u, path_edges[0]), s1.side(v, path_edges[-1])
+    middle = everyone & ~(a_u | a_v)
 
     path_set = set(path_edges)
-    hangers = sorted(middle & (side_u2 | side_v2))
+    hangers = middle & (side_u2 | side_v2)
     if hangers:
         # CASE 1: some middle vertex w hangs off u or v in h2.  Cut h1 at
         # the last u-v path edge on the way to w; the anchor stays opposite
         # w, so the h2 path from w back to the anchor must cross once more
         # than the shared edge alone.
-        w = hangers[0]
-        anchor = u if w in side_u2 else v
-        to_w, to_w_junctions = hyperpath(h1, anchor, w)
+        w = h1.agents[(hangers & -hangers).bit_length() - 1]  # the least
+        anchor = u if side_u2 & bit[w] else v
+        to_w, to_w_junctions = s1.path(anchor, w)
         x_edge = [e for e in to_w if e in path_set][-1]
-        a_side = frozenset(reach(h1, anchor, skip=x_edge))
-        label = "1." + _case1_sublabel(w, x_edge, to_w, to_w_junctions, junctions)
+        a_side = s1.side(anchor, x_edge)
+        if w in x_edge:
+            label = "1.1"
+        else:
+            # the vertex through which the path to w leaves the cut edge
+            exit_vertex = [*to_w_junctions, w][to_w.index(x_edge)]
+            label = "1.2" if exit_vertex in junctions else "1.3"
     else:
         # CASE 2: pigeonhole a vertex t of the first two path edges into the
         # part of h2 hanging off some third member w of the shared edge.
@@ -443,63 +409,56 @@ def _hypertree_direction(h1: Hypergraph, h2: Hypergraph) -> HypertreeProof:
         require(bool(candidates),
                 "pigeonhole failed: every candidate sits inside the shared edge")
         t = candidates[0]
-        w = next(x for x in shared if x not in (u, v) and t in comp2[x])
+        w = next(x for x in shared if x not in (u, v) and comp2[x] & bit[t])
         host = path_edges[0] if t in c1 else path_edges[1]
         c_label = "2.1" if t in c1 else "2.2"
-        t_comp = frozenset(reach(h1, t, skip=host))
+        t_comp = s1.side(t, host)
         if w in host:
             # w shares t's host edge: isolate w's own branch
-            b_side = frozenset(reach(h1, w, skip=host))
-            a_side = frozenset(h1.agents) - b_side
+            a_side = everyone ^ s1.side(w, host)
         else:
             # cut h1 where the path from t finally reaches w; t keeps at
             # least one of u, v (and the shared edge keeps w) on the far side
-            to_w, _ = hyperpath(h1, t, w)
-            a_side = frozenset(reach(h1, t, skip=to_w[-1]))
-        if w in a_u:
+            to_w, _ = s1.path(t, w)
+            a_side = s1.side(t, to_w[-1])
+        if a_u & bit[w]:
             label = c_label + ".1"
-        elif w in a_v:
+        elif a_v & bit[w]:
             label = c_label + ".2"
-        elif w in t_comp and w != t:
+        elif t_comp & bit[w] and w != t:
             label = c_label + ".3.1"
         else:
             label = c_label + ".3.2"
 
-    coloring = Bicoloring(h1.agents, a_side)
+    coloring = Bicoloring(h1.agents, frozenset(a for a in h1.agents if a_side & bit[a]))
     witness = make_witness(h1, h2, coloring)
     require(witness.source_cut == 1, "the hypertree coloring cuts h1 once")
     return HypertreeProof(pair=pair, shared_edge=shared, case_label=label,
                           path_edges=tuple(path_edges), witness=witness)
 
 
-def _case1_sublabel(w, x_edge, to_w, to_w_junctions, junctions) -> str:
-    if w in x_edge:
-        return "1"
-    # the vertex through which the path to w leaves the cut edge
-    exit_vertex = [*to_w_junctions, w][to_w.index(x_edge)]
-    return "2" if exit_vertex in junctions else "3"
-
-
 def r_uniform_incomparability(h1: Hypergraph, h2: Hypergraph,
                               ) -> tuple[HypertreeProof, HypertreeProof]:
-    """Both direction proofs for distinct r-uniform hypertrees, r >= 3."""
-    return _hypertree_direction(h1, h2), _hypertree_direction(h2, h1)
+    """Both direction proofs for distinct r-uniform hypertrees, r >= 3,
+    from one table per state."""
+    _, s1, s2 = _hypertree_tables(h1, h2)
+    return _hypertree_direction(s1, s2), _hypertree_direction(s2, s1)
 
 
-def _hypertree_witness(h1: Hypergraph, h2: Hypergraph, r: int) -> BlockingWitness:
-    """h1 -/-> h2 for distinct r-uniform hypertrees: the tree split for
-    r = 2 (spanning trees), the case analysis for r >= 3."""
+def _hypertree_witness(s1: TreeTable, s2: TreeTable, r: int) -> BlockingWitness:
+    """h1 -/-> h2 for distinct r-uniform hypertrees, from their tables: the
+    tree split for r = 2 (spanning trees), the case analysis for r >= 3."""
     if r == 2:
-        return witness_distinct_spanning_trees(h1, h2)[1]
-    return _hypertree_direction(h1, h2).witness
+        return split_trees(s1, s2)[1]
+    return _hypertree_direction(s1, s2).witness
 
 
 def witness_r_uniform_hypertrees(h1: Hypergraph, h2: Hypergraph,
                                  ) -> tuple[BlockingWitness, BlockingWitness]:
     """Any two distinct r-uniform entangled hypertrees are incomparable;
     returns (h1 -/-> h2, h2 -/-> h1)."""
-    r = _require_r_uniform_hypertrees(h1, h2)
-    return _hypertree_witness(h1, h2, r), _hypertree_witness(h2, h1, r)
+    r, s1, s2 = _hypertree_tables(h1, h2)
+    return _hypertree_witness(s1, s2, r), _hypertree_witness(s2, s1, r)
 
 
 def structural_witness(source: Hypergraph, target: Hypergraph) -> BlockingWitness | None:
@@ -513,7 +472,7 @@ def structural_witness(source: Hypergraph, target: Hypergraph) -> BlockingWitnes
     if side is not None:
         return make_witness(source, target, Bicoloring(source.agents, side))
     try:
-        r = _require_r_uniform_hypertrees(source, target)
+        r, s1, s2 = _hypertree_tables(source, target)
     except InputError:
         return None
-    return _hypertree_witness(source, target, r)
+    return _hypertree_witness(s1, s2, r)

@@ -579,7 +579,7 @@ def test_check_past_color_bound_splits_distinct_hypertrees(tmp_path, capsys, red
 
 
 @pytest.mark.parametrize("inputs, builder", [
-    (_swapped_paths, "witness_distinct_spanning_trees"),
+    (_swapped_paths, "split_trees"),
     (_swapped_chains, "_hypertree_direction"),
 ], ids=["trees", "hypertrees"])
 def test_check_past_color_bound_builds_one_witness_per_direction(tmp_path, capsys,
@@ -587,11 +587,12 @@ def test_check_past_color_bound_builds_one_witness_per_direction(tmp_path, capsy
                                                                  builder):
     import loccgraph.witnesses as witnesses
 
-    calls = {name: [] for name in ("witness_distinct_spanning_trees", "_hypertree_direction")}
+    # both builders read the tables of (source, target)
+    calls = {name: [] for name in ("split_trees", "_hypertree_direction")}
     for name, record in calls.items():
-        def recording(source, target, *rest, real=getattr(witnesses, name), record=record):
-            record.append((source, target))
-            return real(source, target, *rest)
+        def recording(s1, s2, real=getattr(witnesses, name), record=record):
+            record.append((s1.tree, s2.tree))
+            return real(s1, s2)
         monkeypatch.setattr(witnesses, name, recording)
     files = inputs(tmp_path)
     assert main(["check", "--json", "--search-budget", "2000", *files]) == EXIT_OK

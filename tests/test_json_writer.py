@@ -62,7 +62,7 @@ def test_dumps_matches_the_standard_library(value):
     (lambda edge: {"a": edge, "b": [edge, [edge, {"c": edge}]], "d": edge})([1, 2]),
     [[1, 2], (1, 2), [[1, 2]], [[[1, 2]]]],
 ])
-def test_the_int_list_memo_tells_types_and_depths_apart(value):
+def test_the_identity_memo_tells_types_and_depths_apart(value):
     assert dumps(value) == oracle(value)
 
 
@@ -107,7 +107,8 @@ class Side(str, enum.Enum):
     [MeasureOut((True, 2, 3), 2), MeasureOut((1, 2, 3), 2)],
     [Swap((1, 2), (2, 3)), Swap((1, 2), (2.0, 3)), CatExpand((1, 2, 3), (3, 4)),
      CatExpand((1, 2, 3), (3, False))],
-    # a move whose field is not a tuple of ints is written, never memoized
+    # a move whose field is not a tuple of ints is memoized by identity, as
+    # every list, tuple, dict and move is
     [Discard([1, 2]), Discard((1, 2)), Discard(((1, 2), 3)), Discard(())],
     # subclasses are written as their base type
     [Point(1, 2), (1, 2), Point(True, 2), Point(1.5, [2])],

@@ -6,7 +6,8 @@ Python generator twice per move, `Hypergraph.replace` found each removed
 edge with `list.remove`, and `copies` re-validated and re-sorted all k·|E|
 edges through the public constructor.  Later `make_trace` built a new
 state per move through `apply_move`, and the copies protocol re-sorted set
-differences for every copy and sorted each swap's operands.
+differences for every copy, sorted each swap's operands and found each t1
+path by a breadth-first search (`walk_oracles.oracle_hyperpath`).
 """
 
 import os
@@ -37,7 +38,8 @@ from loccgraph import (
 )
 from loccgraph.cli import dumps
 from loccgraph.errors import IllegalMove, InputError, LoccError, require
-from loccgraph.hypergraph import hyperpath
+
+from walk_oracles import oracle_hyperpath
 
 
 def oracle_size_total(h):
@@ -100,7 +102,7 @@ def oracle_copies_protocol(t1, t2):
     missing = sorted(set(t2.edges) - set(t1.edges))
     moves = [Discard(e) for e in sorted(set(t1.edges) - set(t2.edges))]
     for a, b in missing:
-        path_edges, junctions = hyperpath(t1, a, b)
+        path_edges, junctions = oracle_hyperpath(t1, a, b)
         path = [a, *junctions, b]
         current = path_edges[0]
         for nxt in path[2:]:

@@ -2,8 +2,8 @@
 per-call code they replaced.
 
 `oracle_split` is the tree split as it ran before the per-tree tables:
-every call validates both trees and walks them with `reach` and
-`hyperpath`.  The sweep builds one table and one level list per tree and
+every call validates both trees and walks them with the walks of
+`walk_oracles`, one that skips the cut edge and one along the hyperpath.  The sweep builds one table and one level list per tree and
 folds each pair from them; both must give exactly what the per-call code
 gives.
 """
@@ -22,7 +22,7 @@ from loccgraph import Hypergraph, find_blocking_witness, path_tree, star_tree, s
 from loccgraph import merging, witnesses
 from loccgraph.enumeration import all_spanning_trees, random_spanning_tree, tree_classes
 from loccgraph.errors import InputError, require
-from loccgraph.hypergraph import hyperpath, is_spanning_epr_tree, reach
+from loccgraph.hypergraph import is_spanning_epr_tree, tree_table
 from loccgraph.merging import (
     Bicoloring,
     bcm_cut,
@@ -32,11 +32,11 @@ from loccgraph.merging import (
 from loccgraph.witnesses import (
     TreeSplit,
     split_trees,
-    tree_table,
     witness_distinct_spanning_trees,
 )
 
 from coloring_order import iter_bicolorings
+from walk_oracles import oracle_hyperpath, oracle_reach
 
 
 def oracle_split(t1, t2):
@@ -50,13 +50,13 @@ def oracle_split(t1, t2):
         raise InputError("the trees coincide")
     pivot = extra[0]
 
-    side = {v: frozenset(reach(t2, v, skip=pivot)) - {v} for v in pivot}
+    side = {v: frozenset(oracle_reach(t2, v, skip=pivot)) - {v} for v in pivot}
     require(not side[pivot[0]] & side[pivot[1]], "the pivot's two sides are disjoint")
     require(bool(side[pivot[0]] | side[pivot[1]]), "the pivot's sides are not both empty")
 
     def build(i, j):
-        edges, junctions = hyperpath(t1, i, j)
-        return (i, *junctions, j), frozenset(reach(t1, i, skip=edges[0]))
+        edges, junctions = oracle_hyperpath(t1, i, j)
+        return (i, *junctions, j), frozenset(oracle_reach(t1, i, skip=edges[0]))
 
     i, j = pivot
     path, colored_a = build(i, j)
@@ -135,9 +135,9 @@ def test_errors_and_their_order_match_the_oracle(t1, t2):
 
 
 @pytest.mark.parametrize("patch, claim", [
-    ("witnesses.TreeTable.side = lambda self, x, y: self.below[0]",
+    ("witnesses.TreeTable.side = lambda self, x, e: self.below[self.tree.agents[0]]",
      "the pivot's two sides are disjoint"),
-    ("witnesses.TreeTable.path = lambda self, x, y: (x, y)",
+    ("witnesses.TreeTable.path = lambda self, x, y: ([(x, y)], [])",
      "the first path vertex lies off the pivot"),
 ], ids=["sides", "path"])
 def test_tree_split_checks_survive_optimize_flag(patch, claim):
@@ -180,13 +180,13 @@ def test_sweep_validates_each_tree_once_and_recuts_every_witness(monkeypatch):
 
     def validate(t):
         validated.append(t)
-        return is_spanning_epr_tree(t)
+        return tree_table(t)
 
     def recount(*args, **kwargs):
         recut.append(args[:2])
         return make_witness(*args, **kwargs)
 
-    monkeypatch.setattr(witnesses, "is_spanning_epr_tree", validate)
+    monkeypatch.setattr(sweeps, "tree_table", validate)
     for module in (witnesses, merging):
         monkeypatch.setattr(module, "make_witness", recount)
     report = sweeps.spanning_tree_incomparability(sweeps.tree_catalog(4))

@@ -1,58 +1,36 @@
-"""The breadth-first walk `hypergraph.reach` and the routines built on it,
-against the hand-rolled traversals they replaced.
+"""The breadth-first walk `hypergraph.reach`, the rooted table
+`hypergraph.tree_table` and the routines built on them, against the
+hand-rolled traversals they replaced.
 
-The oracles below are those traversals: each builds its own
-agent -> hyperedge index and runs its own queue.  On random hypergraphs
-(isolated agents and repeated hyperedges included), random spanning trees
-and random r-uniform hypertrees, the walk must give the same answers.
+The oracles are those traversals: each builds its own agent -> hyperedge
+index and runs its own queue (`oracle_reach` and `oracle_hyperpath` live in
+`walk_oracles`, which the other differential tests share).  On random
+hypergraphs (isolated agents and repeated hyperedges included), random
+spanning trees and random r-uniform hypertrees, the walk and the table must
+give the same answers: the table's `side(x, e)` is the walk from x that
+skips e, and its `path(a, b)` is the breadth-first hyperpath.
 """
 
 from collections import deque
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from loccgraph import Hypergraph, is_connected
+from loccgraph import Hypergraph, is_connected, is_entangled_hypertree
 from loccgraph.enumeration import random_r_uniform_hypertree, random_spanning_tree
-from loccgraph.hypergraph import components, hyperpath, reach
+from loccgraph.hypergraph import components, reach, tree_table
 from loccgraph.witnesses import _proper_two_coloring
+
+from walk_oracles import incidence, oracle_hyperpath, oracle_reach
 
 
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
 
-def _incidence(h):
-    index = {a: [] for a in h.agents}
-    for e in h.edges:
-        for a in e:
-            index[a].append(e)
-    return index
-
-
-def oracle_reach(h, start, skip=None):
-    """`reach` as it was before the index was kept with the state: a new
-    index, without the `skip` instances, on every call."""
-    index = {a: [] for a in h.agents}
-    for e in h.edges:
-        if e != skip:
-            for a in e:
-                index[a].append(e)
-    via = {start: None}
-    frontier = [start]
-    for x in frontier:
-        for e in index[x]:
-            for y in e:
-                if y not in via:
-                    via[y] = (x, e)
-                    frontier.append(y)
-    return via
-
-
 def oracle_is_connected(h):
     if h.n == 1:
         return True
-    index = _incidence(h)
+    index = incidence(h)
     seen = {h.agents[0]}
     queue = deque(seen)
     while queue:
@@ -66,7 +44,7 @@ def oracle_is_connected(h):
 
 
 def oracle_components(h):
-    index = _incidence(h)
+    index = incidence(h)
     seen = set()
     comps = []
     for start in h.agents:
@@ -87,7 +65,7 @@ def oracle_components(h):
 
 
 def oracle_component_without(h, start, banned):
-    index = _incidence(h)
+    index = incidence(h)
     comp = {start}
     queue = deque([start])
     while queue:
@@ -100,35 +78,6 @@ def oracle_component_without(h, start, banned):
                     comp.add(y)
                     queue.append(y)
     return frozenset(comp)
-
-
-def oracle_hyperpath(h, a, b):
-    index = _incidence(h)
-    via = {a: None}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        if x == b:
-            break
-        for e in index[x]:
-            for y in e:
-                if y not in via:
-                    via[y] = (x, e)
-                    queue.append(y)
-    if b not in via:
-        raise ValueError(f"no hyperpath between {a} and {b}")
-    edges = []
-    junctions = []
-    cur = b
-    while via[cur] is not None:
-        prev, e = via[cur]
-        edges.append(e)
-        cur = prev
-        if via[cur] is not None:
-            junctions.append(cur)
-    edges.reverse()
-    junctions.reverse()
-    return edges, junctions
 
 
 def oracle_tree_vertex_path(t, a, b):
@@ -154,7 +103,7 @@ def oracle_tree_vertex_path(t, a, b):
 
 
 def oracle_proper_two_coloring(t):
-    index = _incidence(t)
+    index = incidence(t)
     root = t.agents[0]
     depth = {root: 0}
     queue = deque([root])
@@ -213,51 +162,78 @@ def test_connectivity_and_components_match_oracle(h):
     assert components(h) == oracle_components(h)
 
 
+def agents_in(h, mask):
+    return frozenset(a for p, a in enumerate(h.agents) if mask >> p & 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(any_structure)
 def test_walk_without_an_edge_matches_oracle(h):
+    # the walk crosses every edge; the table of a hypertree cuts each one
+    table = tree_table(h)
     for v in h.agents:
-        for skip in sorted(set(h.edges)) + [None]:
-            via = reach(h, v, skip=skip)
-            assert frozenset(via) == oracle_component_without(h, v, skip)
-            # discovery order: every agent after the agent it was reached from
-            order = list(via)
-            assert via[v] is None and order[0] == v
-            for y, (x, e) in list(via.items())[1:]:
-                assert order.index(x) < order.index(y)
-                assert x in e and y in e and e != skip
+        via = reach(h, v)
+        assert frozenset(via) == oracle_component_without(h, v, None)
+        # discovery order: every agent after the agent it was reached from
+        order = list(via)
+        assert via[v] is None and order[0] == v
+        for y, (x, e) in list(via.items())[1:]:
+            assert order.index(x) < order.index(y)
+            assert x in e and y in e
+        if table is not None:
+            for skip in sorted(set(h.edges)):
+                assert agents_in(h, table.side(v, skip)) == oracle_component_without(h, v, skip)
 
 
 @settings(max_examples=300, deadline=None)
 @given(any_structure, st.data())
 def test_walk_matches_the_per_call_index_oracle(h, data):
-    # one state serves every start and skip, so its kept index is reused;
-    # skips are absent, present once or repeated, or an edge of no state
-    skips = [None, *sorted(set(h.edges)), tuple(h.agents[:2]), (-1, -2)]
-    for skip in data.draw(st.permutations(skips)):
-        for v in h.agents:
-            assert list(reach(h, v, skip=skip).items()) == list(oracle_reach(h, v, skip).items())
+    # one state serves every start, twice over, so its kept index is reused
+    for v in data.draw(st.permutations(h.agents)) * 2:
+        assert list(reach(h, v).items()) == list(oracle_reach(h, v).items())
 
 
 @settings(max_examples=300, deadline=None)
 @given(any_structure)
 def test_hyperpath_matches_oracle(h):
+    # only an entangled hypertree has a table, and its paths are the hyperpaths
+    table = tree_table(h)
+    assert (table is not None) == is_entangled_hypertree(h)
+    if table is not None:
+        for a in h.agents:
+            for b in h.agents:
+                assert table.path(a, b) == oracle_hyperpath(h, a, b)
+
+
+@st.composite
+def labeled_hypertrees(draw):
+    """A random r-uniform hypertree, r = 2..6, over sorted arbitrary labels."""
+    r = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 5)) * (r - 1) + 1
+    labels = sorted(draw(st.sets(st.integers(-50, 1000), min_size=n, max_size=n)))
+    h = random_r_uniform_hypertree(n, r, draw(st.integers(0, 10 ** 6)))
+    to = dict(zip(h.agents, labels))
+    return Hypergraph(tuple(labels), tuple(tuple(to[a] for a in e) for e in h.edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_hypertrees())
+def test_the_table_cuts_and_climbs_as_the_oracle_walks(h):
+    table = tree_table(h)
+    for e in h.edges:
+        for x in h.agents:  # on e and off it
+            assert agents_in(h, table.side(x, e)) == frozenset(oracle_reach(h, x, skip=e))
     for a in h.agents:
         for b in h.agents:
-            try:
-                expected = oracle_hyperpath(h, a, b)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    hyperpath(h, a, b)
-            else:
-                assert hyperpath(h, a, b) == expected
+            assert table.path(a, b) == oracle_hyperpath(h, a, b)
 
 
 @settings(max_examples=200, deadline=None)
 @given(trees)
 def test_tree_paths_and_two_coloring_match_oracle(t):
+    table = tree_table(t)
     for a in t.agents:
         for b in t.agents:
             if a != b:
-                assert [a, *hyperpath(t, a, b)[1], b] == oracle_tree_vertex_path(t, a, b)
+                assert [a, *table.path(a, b)[1], b] == oracle_tree_vertex_path(t, a, b)
     assert _proper_two_coloring(t) == oracle_proper_two_coloring(t)

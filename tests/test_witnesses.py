@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -33,7 +34,7 @@ from loccgraph import (
     witness_pendant_condition,
     witness_r_uniform_hypertrees,
 )
-from loccgraph import witnesses
+from loccgraph import hypergraph, witnesses
 from loccgraph.enumeration import all_spanning_trees, random_spanning_tree
 from loccgraph.errors import BoundExceeded, InputError
 from loccgraph.merging import cheap_cuts, make_witness
@@ -461,7 +462,7 @@ def _same_as_the_oracle(h1, h2):
     expected, branch = oracle_separating_pair(h1, h2)
     assert find_separating_pair(h1, h2) == expected
     proofs = r_uniform_incomparability(h1, h2)
-    with mock.patch.object(witnesses, "find_separating_pair",
+    with mock.patch.object(witnesses, "_separating_pair",
                            lambda a, b: oracle_separating_pair(a, b)[0]):
         assert proofs == r_uniform_incomparability(h1, h2)
     return branch
@@ -563,3 +564,39 @@ def test_structural_witness_prefers_the_search_cut():
     assert (cut.source_cut, cut.target_cut) == (2, 3)
     assert witness_r_uniform_hypertrees(source, target)[0].source_cut == 1
     assert structural_witness(source, target) == cut
+
+
+# ---------------------------------------------------------------------------
+# one walk per input state
+# ---------------------------------------------------------------------------
+
+def _swapped_chain_pair(r):
+    """23-agent r-chains with agents 2 and 4 swapped: past the coloring
+    bound, with no search cut between them."""
+    return _chain(list(range(1, 24)), r), _chain([1, 4, 3, 2, *range(5, 24)], r)
+
+
+@pytest.mark.parametrize("build, pair", [
+    (witness_r_uniform_hypertrees, (star_tree(6, 1), path_tree(6))),
+    (witness_r_uniform_hypertrees, (H(5, (1, 2, 3), (3, 4, 5)), H(5, (1, 2, 4), (3, 4, 5)))),
+    (r_uniform_incomparability, (H(5, (1, 2, 3), (3, 4, 5)), H(5, (1, 2, 4), (3, 4, 5)))),
+    (find_separating_pair, (H(5, (1, 2, 3), (3, 4, 5)), H(5, (1, 2, 4), (3, 4, 5)))),
+    (structural_witness, _swapped_chain_pair(2)),
+    (structural_witness, _swapped_chain_pair(3)),
+    (witness_distinct_spanning_trees, (star_tree(6, 1), path_tree(6))),
+], ids=["r-uniform-r2", "r-uniform-r3", "incomparability", "separating-pair",
+        "structural-r2", "structural-r3", "spanning-trees"])
+def test_each_input_state_is_walked_once_per_call(monkeypatch, build, pair):
+    # the table's own walk is the connectivity check: no other walk, and no
+    # second table, for either state, whichever module the walk is called from
+    walked, real = [], hypergraph.reach
+
+    def walk(h, *args):
+        walked.append(h)
+        return real(h, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loccgraph") and getattr(module, "reach", None) is real:
+            monkeypatch.setattr(module, "reach", walk)
+    build(*pair)
+    assert list(map(id, walked)) == list(map(id, pair))
