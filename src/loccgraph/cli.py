@@ -59,25 +59,37 @@ def dumps(obj) -> str:
     `indent=2` runs a pure-Python generator per value.  Here each value
     returns its text, given `indent`, a newline and the indent of its
     closing line; a container joins its children's text one level deeper.
+    A str and a plain int are told by their exact type, before the memo is
+    read.  A state, move or trace is told by its exact type too, and the
+    pairs of its `to_json` form are written in place.  Lists, tuples and
+    dicts come next, their subclasses written as the base type; None,
+    bools, floats and other subclasses come last.
     A trace repeats its edges and moves, so every value but a str or a
-    plain int keeps its text for the call, keyed by indent and identity.
-    Each entry holds its value too, so no temporary, such as a `to_json`
-    dict, can free its id for another value while the memo lives.  A value
-    with no JSON form, such as a set or a non-string key, is an internal
-    inconsistency."""
+    plain int keeps its text for the call, keyed by identity, with the
+    indent it was written at; a hit needs the same indent.  Each entry
+    holds its value too, so no temporary, such as a `to_json` list of bits,
+    can free its id for another value while the memo lives.
+    A value with no JSON form, such as a set or a non-string key, is an
+    internal inconsistency."""
     texts: dict = {}
 
     def text(value, indent: str) -> str:
-        if isinstance(value, str):  # a str subclass writes as its text
+        cls = type(value)
+        if cls is str:
             return encode_basestring_ascii(value)
-        if type(value) is int:
+        if cls is int:
             return int.__repr__(value)
-        if (found := texts.get((indent, id(value)))) is not None:
-            return found[1]
+        if (found := texts.get(id(value))) is not None and found[1] == indent:
+            return found[2]
         inner = indent + "  "
-        if isinstance(value, (list, tuple)):  # a namedtuple is written as a list
-            out = ("[" + inner + f",{inner}".join([text(item, inner) for item in value])
-                   + indent + "]") if value else "[]"
+        if cls in DICT_FORMS:  # its keys are strings, and it has at least one
+            out = ("{" + inner + f",{inner}".join([
+                encode_basestring_ascii(key) + ": " + text(item, inner)
+                for key, item in to_json(value).items()]) + indent + "}")
+        elif isinstance(value, (list, tuple)):  # a namedtuple is written as a list
+            out = ("[" + inner + f",{inner}".join([
+                int.__repr__(item) if type(item) is int else text(item, inner)
+                for item in value]) + indent + "]") if value else "[]"
         elif isinstance(value, dict):
             parts = []
             for key, item in value.items():
@@ -85,6 +97,8 @@ def dumps(obj) -> str:
                     require(False, f"a report key is not a string: {key!r}")
                 parts.append(encode_basestring_ascii(key) + ": " + text(item, inner))
             out = "{" + inner + f",{inner}".join(parts) + indent + "}" if parts else "{}"
+        elif isinstance(value, str):  # a str subclass writes as its text
+            out = encode_basestring_ascii(value)
         elif value is None or value is True or value is False:
             out = "null" if value is None else "true" if value else "false"
         elif isinstance(value, int):  # an int subclass, such as an IntEnum
@@ -94,7 +108,7 @@ def dumps(obj) -> str:
                    else "-Infinity" if value == -_INF else float.__repr__(value))
         else:
             out = text(to_json(value), indent)
-        texts[indent, id(value)] = value, out
+        texts[id(value)] = value, indent, out
         return out
 
     return text(obj, "\n")
@@ -103,6 +117,7 @@ def dumps(obj) -> str:
 MOVE_FIELDS = {cls: tuple(f.name for f in fields(cls))
                for cls in (Discard, MeasureOut, Swap, CatExpand)}
 MOVE_KINDS = {cls.kind: cls for cls in MOVE_FIELDS}
+DICT_FORMS = frozenset([*MOVE_FIELDS, Hypergraph, ProtocolTrace])  # `dumps` writes their forms in place
 
 
 def to_json(value):

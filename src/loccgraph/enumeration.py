@@ -11,7 +11,7 @@ from collections import Counter
 from typing import Iterable, Iterator
 
 from .errors import BoundExceeded, InputError
-from .hypergraph import Hypergraph, is_spanning_epr_tree, reach
+from .hypergraph import Hypergraph, epr_tree_table, reach
 
 TREE_ENUM_MAX_N = 7  # n^(n-2) <= 16807
 
@@ -56,10 +56,11 @@ def tree_classes(trees: Iterable[Hypergraph]) -> list[tuple[Hypergraph, int]]:
     centers): a rooted tree is '(' + its subtrees' sorted encodings + ')'."""
     classes: dict[str, list] = {}
     for t in trees:
-        if not is_spanning_epr_tree(t):
+        if (table := epr_tree_table(t)) is None:
             raise InputError("can only classify spanning EPR trees")
-        # the centers: the middle of a longest path, which starts at a farthest agent
-        via = reach(t, next(reversed(reach(t, t.agents[0]))))
+        # the centers: the middle of a longest path, which starts at a farthest
+        # agent, such as the last the validating walk discovered
+        via = reach(t, next(reversed(table.depth)))
         path = [next(reversed(via))]
         while via[path[-1]] is not None:
             path.append(via[path[-1]][0])

@@ -82,10 +82,12 @@ class Hypergraph:
         self.edit(pool, remove, add)
         return _trusted(self.agents, tuple(pool))
 
-    def edit(self, pool: list[Edge], remove=(), add=()) -> int:
+    def edit(self, pool: list[Edge], remove=(), add=(), known=None) -> int:
         """Swap one instance of each `remove` edge in `pool`, a sorted edge
         list over this state's agents, for the `add` edges, which alone are
-        validated; the change in size_total.  IllegalMove if one is absent."""
+        validated; the change in size_total.  IllegalMove if one is absent.
+        `known` is the set of this state's agents, for a caller that edits
+        many times; without it the set is built here."""
         change = 0
         for edge in remove:
             e = tuple(sorted(edge))
@@ -98,7 +100,8 @@ class Hypergraph:
             del pool[i]
             change -= len(e)
         if add:  # a discard adds nothing, so it needs no agent set
-            known = set(self.agents)
+            if known is None:
+                known = set(self.agents)
             for edge in add:
                 insort(pool, e := self._canonical(edge, known))
                 change += len(e)
@@ -210,14 +213,17 @@ def is_spanning_epr_tree(h: Hypergraph) -> bool:
     return all(len(e) == 2 for e in h.edges) and is_entangled_hypertree(h)
 
 
-def require_tree_pair(t1: Hypergraph, t2: Hypergraph) -> None:
+def require_tree_pair(t1: Hypergraph, t2: Hypergraph, *, table: bool = False,
+                      ) -> TreeTable | None:
     """Raise InputError unless t1 and t2 are spanning EPR trees over one
-    agent set."""
-    for t in (t1, t2):
-        if not is_spanning_epr_tree(t):
-            raise InputError("both inputs must be spanning EPR trees")
+    agent set.  With `table`, t1 is checked by the one walk of its
+    `epr_tree_table`, which is returned."""
+    first = epr_tree_table(t1) if table else is_spanning_epr_tree(t1)
+    if not first or not is_spanning_epr_tree(t2):
+        raise InputError("both inputs must be spanning EPR trees")
     if t1.agents != t2.agents:
         raise InputError("trees must span the same agents")
+    return first if table else None
 
 
 def is_entangled_hypertree(h: Hypergraph) -> bool:
@@ -231,7 +237,8 @@ class TreeTable:
     """An entangled hypertree rooted at its lowest agent, built by
     `tree_table` and handed to whatever reads it: each agent's parent, the
     hyperedge it hangs from, its depth and its subtree, as a bitmask over
-    agent positions (agent `tree.agents[p]` is bit p)."""
+    agent positions (agent `tree.agents[p]` is bit p).  `parent`, `edge` and
+    `depth` list the agents in the order the walk discovered them."""
 
     tree: Hypergraph
     bit: dict[int, int]
@@ -286,6 +293,12 @@ def tree_table(h: Hypergraph) -> TreeTable | None:
     return TreeTable(h, bit, parent, edge, depth, below)
 
 
+def epr_tree_table(h: Hypergraph) -> TreeTable | None:
+    """The `tree_table` of h, the check of `is_spanning_epr_tree` with its
+    table; None unless h is a spanning EPR tree."""
+    return tree_table(h) if all(len(e) == 2 for e in h.edges) else None
+
+
 def uniformity(h: Hypergraph) -> int | None:
     """The common hyperedge size r, or None if sizes are mixed."""
     if not h.edges:
@@ -329,9 +342,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
             if n < 1:
                 raise InputError("agent count must be >= 1", lineno)
         elif stripped.startswith("cat:"):
-            body = stripped[len("cat:"):].split()
             try:
-                members = tuple(int(tok) for tok in body)
+                members = tuple(map(int, stripped[len("cat:"):].split()))
             except ValueError:
                 raise InputError("hyperedge members must be integers", lineno) from None
             if len(members) < 2:
@@ -343,11 +355,12 @@ def parse_hypergraph(text: str) -> Hypergraph:
             raise InputError(f"unrecognized line {stripped!r}", lineno)
     if n is None:
         raise InputError("missing 'agents: n' header")
-    agents = tuple(range(1, n + 1))
     for lineno, members in raw_edges:
-        if any(m < 1 or m > n for m in members):
+        if min(members) < 1 or max(members) > n:
             raise InputError(f"member outside 1..{n}", lineno)
-    return Hypergraph(agents, tuple(members for _, members in raw_edges))
+    # the checks above are every check `Hypergraph` makes of these parts
+    return _trusted(tuple(range(1, n + 1)),
+                    tuple(sorted([tuple(sorted(members)) for _, members in raw_edges])))
 
 
 def format_hypergraph(h: Hypergraph) -> str:

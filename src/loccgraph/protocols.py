@@ -31,7 +31,6 @@ from .hypergraph import (
     is_spanning_epr_tree,
     reach,
     require_tree_pair,
-    tree_table,
 )
 from .merging import cheap_cuts
 
@@ -104,6 +103,8 @@ def _operands(move: LoccMove) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
         if len(inside) != 1:
             raise IllegalMove(
                 f"pair {pair} must touch hyperedge {edge} in exactly one agent")
+        if pair[0] == pair[1]:  # one agent twice, inside the hyperedge: no fresh agent
+            raise IllegalMove("cat expansion consumes an EPR pair")
         fresh = (set(pair) - inside).pop()
         return (edge, pair), (tuple(sorted(edge + (fresh,))),)
     raise IllegalMove(f"unknown move {move!r}")
@@ -121,11 +122,15 @@ class ProtocolTrace:
 def make_trace(start: Hypergraph, moves) -> ProtocolTrace:
     """Build a trace by replaying the moves, checking every precondition
     and the strict decrease of the size potential.  The moves `edit` one
-    copy of the start's edge list, and only the end state is built."""
+    copy of the start's edge list against one agent set, and only the end
+    state is built."""
     moves = tuple(moves)
-    pool = list(start.edges)
+    pool, known = list(start.edges), set(start.agents)
+    edit, operands = start.edit, _operands
     for move in moves:
-        require(start.edit(pool, *_operands(move)) < 0, "every move shrinks the state")
+        remove, add = operands(move)
+        if edit(pool, remove, add, known) >= 0:
+            require(False, "every move shrinks the state")
     return ProtocolTrace(start=start, moves=moves, end=start.edited(pool))
 
 
@@ -203,14 +208,13 @@ def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:
     copy manufactures one missing edge of t2 by swapping along the t1 path
     between its endpoints, then discards its leftovers.
     """
-    require_tree_pair(t1, t2)
+    table = require_tree_pair(t1, t2, table=True)
     # tree edges are sorted and distinct, so filters keep them in order
     discards = dict(zip(t1.edges, map(Discard, t1.edges)))
     missing = [e for e in t2.edges if e not in discards]
     start = copies(t1, len(missing) + 1)
     common = set(t2.edges)
     moves: list[LoccMove] = [d for e, d in discards.items() if e not in common]
-    table = tree_table(t1)
     for a, b in missing:
         path_edges, junctions = table.path(a, b)
         current = path_edges[0]

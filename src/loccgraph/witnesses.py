@@ -26,7 +26,7 @@ from .hypergraph import (
     components,
     copies,
     epr_pair,
-    is_spanning_epr_tree,
+    epr_tree_table,
     pendant_vertices,
     path_tree,
     tree_table,
@@ -46,12 +46,12 @@ def _co_edge(h: Hypergraph, a: int, b: int) -> bool:
     return any(a in e and b in e for e in h.edges)
 
 
-def _proper_two_coloring(t: Hypergraph) -> frozenset[int]:
+def _proper_two_coloring(table: TreeTable) -> frozenset[int]:
     """A-side of the proper 2-coloring of a tree: the smaller depth-parity
-    class of its `tree_table` (ties broken to the class not containing the
-    lowest agent, the table's root)."""
-    odd = frozenset(a for a, d in tree_table(t).depth.items() if d & 1)
-    return min(odd, frozenset(t.agents) - odd, key=len)  # min keeps odd on a tie
+    class of its table (ties broken to the class not containing the lowest
+    agent, the table's root)."""
+    odd = frozenset(a for a, d in table.depth.items() if d & 1)
+    return min(odd, frozenset(table.tree.agents) - odd, key=len)  # min keeps odd on a tie
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +155,14 @@ def witness_cat_copies_vs_tree(t: Hypergraph) -> BlockingWitness:
     The proper 2-coloring of the tree cuts all n-1 tree edges but each CAT
     copy only once: cuts (n-2, n-1).
     """
-    if not is_spanning_epr_tree(t):
+    table = epr_tree_table(t)
+    if table is None:
         raise InputError("target is not a spanning EPR tree")
     n = t.n
     if n < 3:
         raise InputError("need at least three agents")
     source = copies(Hypergraph(t.agents, (t.agents,)), n - 2)
-    coloring = Bicoloring(t.agents, _proper_two_coloring(t))
+    coloring = Bicoloring(t.agents, _proper_two_coloring(table))
     witness = make_witness(source, t, coloring)
     require((witness.source_cut, witness.target_cut) == (n - 2, n - 1),
             "the proper 2-coloring cuts (n-2, n-1)")
@@ -225,7 +226,7 @@ def witness_distinct_spanning_trees(t1: Hypergraph, t2: Hypergraph,
     """Any two distinct spanning trees are LOCC-incomparable; this builds
     the t1 -/-> t2 direction (swap arguments for the reverse) with
     `split_trees`."""
-    s1, s2 = (tree_table(t) if all(len(e) == 2 for e in t.edges) else None for t in (t1, t2))
+    s1, s2 = epr_tree_table(t1), epr_tree_table(t2)
     if s1 is None or s2 is None:
         raise InputError("both inputs must be spanning EPR trees")
     return split_trees(s1, s2)

@@ -462,6 +462,13 @@ GHZ3 = {"agents": [1, 2, 3], "edges": [[1, 2, 3]]}
                  lambda: apply_move(Hypergraph((1, 2, 3, 4), ((1, 2), (2, 3, 4))),
                                     CatExpand((1, 2), (2, 3, 4))),
                  IllegalMove, "cat expansion consumes an EPR pair", id="cat-expand-non-pair"),
+    # a pair that names one agent of the hyperedge twice leaves no fresh agent
+    pytest.param({"agents": [1, 2, 3], "edges": [[1, 2, 3], [2, 3]]},
+                 {"kind": "cat_expand", "edge": [1, 2, 3], "pair": [2, 2]},
+                 lambda: apply_move(Hypergraph((1, 2, 3), ((1, 2, 3), (2, 3))),
+                                    CatExpand((1, 2, 3), (2, 2))),
+                 IllegalMove, "cat expansion consumes an EPR pair",
+                 id="cat-expand-repeated-pair"),
     # the codec rejects an unknown kind by name; the calculus, any other value
     pytest.param(GHZ3, {"kind": "teleport", "edge": [1, 2, 3]},
                  lambda: apply_move(cat_state(3), Discard),

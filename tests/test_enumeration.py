@@ -3,6 +3,7 @@ coloring stream."""
 
 import heapq
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +20,10 @@ from loccgraph import (
     tree_classes,
     uniformity,
 )
+from loccgraph import enumeration, hypergraph
+from loccgraph.enumeration import _rooted_encoding
 from loccgraph.errors import BoundExceeded, InputError
-from loccgraph.hypergraph import Hypergraph
+from loccgraph.hypergraph import Hypergraph, reach, tree_table
 
 
 def prufer_encode(t: Hypergraph) -> tuple[int, ...]:
@@ -136,6 +139,51 @@ def test_relabeling_keeps_a_tree_in_its_class(n, seed, rng):
 def test_distinct_shapes_fall_in_distinct_classes():
     for n in range(4, 12):
         assert [size for _, size in tree_classes([path_tree(n), star_tree(n)])] == [1, 1]
+
+
+def oracle_tree_classes(trees):
+    """The classifier before its validating walk gave it the farthest agent:
+    one walk to validate, then one from the lowest agent to find it."""
+    classes = {}
+    for t in trees:
+        if not is_spanning_epr_tree(t):
+            raise InputError("can only classify spanning EPR trees")
+        via = reach(t, next(reversed(reach(t, t.agents[0]))))
+        path = [next(reversed(via))]
+        while via[path[-1]] is not None:
+            path.append(via[path[-1]][0])
+        middle = {path[len(path) // 2], path[(len(path) - 1) // 2]}
+        classes.setdefault(min(_rooted_encoding(t, c) for c in middle), [t, 0])[1] += 1
+    return [(t, size) for t, size in classes.values()]
+
+
+def test_classes_take_the_farthest_agent_from_the_validating_walk():
+    # one walk validates a tree and finds its farthest agent, one finds a
+    # longest path, and one encodes it per center: 125 trees, 185 centers
+    trees = list(all_spanning_trees(5))
+
+    def walks(classify):
+        with mock.patch.object(hypergraph, "reach", wraps=hypergraph.reach) as inner, \
+                mock.patch.object(enumeration, "reach", wraps=enumeration.reach) as outer:
+            classes = classify(trees)
+        return classes, inner.call_count + outer.call_count
+
+    with mock.patch(f"{__name__}.reach", wraps=reach) as oracle_walk:
+        expected, oracle_inner = walks(oracle_tree_classes)
+    got, count = walks(tree_classes)
+    assert got == expected
+    assert [size for _, size in got] == [5, 60, 60]
+    assert count == 125 * 2 + 185
+    assert oracle_inner + oracle_walk.call_count == 125 * 3 + 185
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 14), st.integers(0, 10 ** 9))
+def test_the_table_lists_agents_in_discovery_order(n, seed):
+    t = random_spanning_tree(n, seed)
+    order = list(reach(t, t.agents[0]))
+    table = tree_table(t)
+    assert list(table.parent) == list(table.edge) == list(table.depth) == order
 
 
 def test_classes_require_spanning_trees():

@@ -341,3 +341,114 @@ def test_export_dot_of_any_text_prints_it_or_one_error_line(tmp_path_factory, te
         assert (code, out.getvalue()) == (2, "")
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# parsing builds its state once
+# ---------------------------------------------------------------------------
+
+def oracle_parse_hypergraph(text):
+    """The parser as it was when it built its state through the validating
+    constructor, which re-checked every hyperedge."""
+    n = None
+    raw_edges = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("agents:"):
+            if n is not None:
+                raise InputError("duplicate 'agents:' header", lineno)
+            body = stripped[len("agents:"):].strip()
+            try:
+                n = int(body)
+            except ValueError:
+                raise InputError(f"bad agent count {body!r}", lineno) from None
+            if n < 1:
+                raise InputError("agent count must be >= 1", lineno)
+        elif stripped.startswith("cat:"):
+            body = stripped[len("cat:"):].split()
+            try:
+                members = tuple(int(tok) for tok in body)
+            except ValueError:
+                raise InputError("hyperedge members must be integers", lineno) from None
+            if len(members) < 2:
+                raise InputError("a hyperedge needs at least two members", lineno)
+            if len(set(members)) != len(members):
+                raise InputError("hyperedge repeats a member", lineno)
+            raw_edges.append((lineno, members))
+        else:
+            raise InputError(f"unrecognized line {stripped!r}", lineno)
+    if n is None:
+        raise InputError("missing 'agents: n' header")
+    agents = tuple(range(1, n + 1))
+    for lineno, members in raw_edges:
+        if any(m < 1 or m > n for m in members):
+            raise InputError(f"member outside 1..{n}", lineno)
+    return Hypergraph(agents, tuple(members for _, members in raw_edges))
+
+
+def _parsed(parse, text):
+    """The state a parse returns, or the message and line of its InputError."""
+    try:
+        return parse(text)
+    except InputError as exc:
+        return str(exc), exc.line
+
+
+# every member in any order and spelling int() reads: signs, padding zeros
+_valid_state = st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True), max_size=8),
+    st.integers(0, 8), st.lists(st.sampled_from(["{}", "+{}", "0{}", " {} "]), min_size=9,
+                                max_size=9)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_valid_state)
+@example((1, [], 0, ["{}"] * 9))
+def test_parse_builds_what_the_constructor_builds(state):
+    n, edges, header_at, spellings = state
+    lines = ["cat: " + " ".join(spellings[m - 1].format(m) for m in e) for e in edges]
+    lines.insert(min(header_at, len(lines)), f"agents: {n}")
+    h = parse_hypergraph("\n".join(lines) + "\n")
+    built = Hypergraph(tuple(range(1, n + 1)), tuple(map(tuple, edges)))
+    assert type(h) is Hypergraph and vars(h) == vars(built)
+    assert hash(h) == hash(built)
+    assert all(type(m) is int for e in h.edges for m in e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts)
+def test_parse_matches_the_constructor_oracle(text):
+    # the fuzz texts are mostly malformed: each keeps its message and line
+    got = _parsed(parse_hypergraph, text)
+    expected = _parsed(oracle_parse_hypergraph, text)
+    assert got == expected
+    if isinstance(got, Hypergraph):
+        assert vars(got) == vars(expected)
+
+
+@pytest.mark.parametrize("text,message,line", [
+    ("cat: 1 2\n", "missing 'agents: n' header", None),
+    ("", "missing 'agents: n' header", None),
+    ("agents: 3\nagents: 3\n", "line 2: duplicate 'agents:' header", 2),
+    ("agents: x\n", "line 1: bad agent count 'x'", 1),
+    ("agents:\n", "line 1: bad agent count ''", 1),
+    ("\n\nagents: 0\n", "line 3: agent count must be >= 1", 3),
+    ("agents: 3\ncat: 1 two\n", "line 2: hyperedge members must be integers", 2),
+    ("agents: 3\ncat: 1 2.0\n", "line 2: hyperedge members must be integers", 2),
+    ("agents: 3\ncat: 1\n", "line 2: a hyperedge needs at least two members", 2),
+    ("agents: 3\ncat:\n", "line 2: a hyperedge needs at least two members", 2),
+    ("agents: 3\ncat: 2 1 +2\n", "line 2: hyperedge repeats a member", 2),
+    ("agents: 3\nwat: 1 2\n", "line 2: unrecognized line 'wat: 1 2'", 2),
+    ("agents: 3\ncat: 1 2\ncat: 0 1\n", "line 3: member outside 1..3", 3),
+    ("cat: 1 4\nagents: 3\n", "line 1: member outside 1..3", 1),
+    ("agents: 3\ncat: 2 -1\n", "line 2: member outside 1..3", 2),
+    # an out-of-range member is reported only once every line has parsed
+    ("agents: 3\ncat: 1 9\nwat\n", "line 3: unrecognized line 'wat'", 3),
+    ("agents: 3\ncat: 1 9\ncat: 1 8\n", "line 2: member outside 1..3", 2),
+])
+def test_every_malformed_input_keeps_its_message_and_line(text, message, line):
+    assert _parsed(parse_hypergraph, text) == (message, line)
+    assert _parsed(oracle_parse_hypergraph, text) == (message, line)

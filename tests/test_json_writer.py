@@ -9,17 +9,21 @@ import enum
 import json
 import math
 import pathlib
+import random
+from json.encoder import encode_basestring_ascii
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import loccgraph
-from loccgraph import cli, path_tree, star_tree
-from loccgraph.cli import dumps, main
+from loccgraph import Bicoloring, Hypergraph, cli, path_tree, star_tree
+from loccgraph.cli import MOVE_FIELDS, dumps, main
 from loccgraph.distance import distance_report
-from loccgraph.hypergraph import format_hypergraph
-from loccgraph.protocols import CatExpand, Discard, MeasureOut, Swap
+from loccgraph.enumeration import random_spanning_tree
+from loccgraph.errors import require
+from loccgraph.hypergraph import format_hypergraph, reach
+from loccgraph.protocols import CatExpand, Discard, MeasureOut, ProtocolTrace, Swap
 
 
 def oracle(value) -> str:
@@ -207,3 +211,143 @@ def test_no_report_is_written_by_the_standard_library_encoder():
              and node.func.attr == "dumps" and isinstance(node.func.value, ast.Name)
              and node.func.value.id == "json"]
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the writer before it tested exact types first
+# ---------------------------------------------------------------------------
+
+def oracle_dumps(obj) -> str:
+    """The writer before it tested each value's exact type first and wrote
+    states, moves and traces in place: an `isinstance` chain, and every
+    `to_json` form written as a dict value of its own."""
+    texts: dict = {}
+
+    def text(value, indent: str) -> str:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if type(value) is int:
+            return int.__repr__(value)
+        if (found := texts.get((indent, id(value)))) is not None:
+            return found[1]
+        inner = indent + "  "
+        if isinstance(value, (list, tuple)):
+            out = ("[" + inner + f",{inner}".join([text(item, inner) for item in value])
+                   + indent + "]") if value else "[]"
+        elif isinstance(value, dict):
+            parts = []
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    require(False, f"a report key is not a string: {key!r}")
+                parts.append(encode_basestring_ascii(key) + ": " + text(item, inner))
+            out = "{" + inner + f",{inner}".join(parts) + indent + "}" if parts else "{}"
+        elif value is None or value is True or value is False:
+            out = "null" if value is None else "true" if value else "false"
+        elif isinstance(value, int):
+            out = int.__repr__(value)
+        elif isinstance(value, float):
+            out = ("NaN" if value != value else "Infinity" if value == math.inf
+                   else "-Infinity" if value == -math.inf else float.__repr__(value))
+        else:
+            out = text(cli.to_json(value), indent)
+        texts[indent, id(value)] = value, out
+        return out
+
+    return text(obj, "\n")
+
+
+def _written(write, value):
+    """The text a writer returns, or the type and message of its error."""
+    try:
+        return write(value)
+    except AssertionError as exc:
+        return type(exc), str(exc)
+
+
+class Edges(tuple):
+    pass
+
+
+class Half(float):
+    pass
+
+
+LABELS = st.integers(-3, 12)
+EDGES = st.lists(LABELS, min_size=2, max_size=4, unique=True).map(lambda e: tuple(sorted(e)))
+ODD_EDGES = st.lists(st.integers(-3, 12) | st.booleans() | st.floats(-3, 3)
+                     | st.builds(Level, st.just(1)) | st.builds(Edges, st.lists(LABELS, max_size=2)),
+                     max_size=3).map(tuple)
+MOVES = st.one_of(*(st.builds(cls, *([EDGES | ODD_EDGES] * len(MOVE_FIELDS[cls])))
+                    for cls in (Discard, Swap, CatExpand)),
+                  st.builds(MeasureOut, EDGES | ODD_EDGES, LABELS | st.booleans()))
+
+
+@st.composite
+def package_values(draw):
+    """A state, a move, a trace of moves or a coloring, each built from
+    edge objects that recur."""
+    agents = tuple(range(1, draw(st.integers(2, 7)) + 1))
+    edge = st.lists(st.sampled_from(agents), min_size=2, max_size=len(agents), unique=True)
+    pool = [tuple(sorted(e)) for e in draw(st.lists(edge, min_size=1, max_size=4))]
+    state = Hypergraph(agents, tuple(draw(st.lists(st.sampled_from(pool), max_size=8))))
+    if draw(st.booleans()):
+        reach(state, agents[0])  # a walked state keeps its agent index, which is never written
+    kind = draw(st.sampled_from(["state", "move", "trace", "coloring"]))
+    if kind == "state":
+        return state
+    if kind == "coloring":
+        return Bicoloring(agents, frozenset(draw(st.sets(st.sampled_from(agents)))))
+    moves = draw(st.lists(MOVES | st.sampled_from(pool).map(Discard), max_size=5))
+    if kind == "move":
+        return draw(st.sampled_from(moves)) if moves else Discard(pool[0])
+    shared = moves + moves[::-1]  # one move object at two places in a trace
+    return ProtocolTrace(state, tuple(shared), state.replace())
+
+
+SUBCLASSES = (st.builds(Tag, TEXT) | st.sampled_from([Side.LEFT, Level.LOW])
+              | st.builds(Point, SCALARS, SCALARS) | st.builds(Edges, st.lists(SCALARS, max_size=3))
+              | st.builds(Half, st.floats()))
+
+
+@st.composite
+def reports(draw):
+    """A report that holds package values, scalars and subclasses of str,
+    int, float and tuple at several depths, with some objects shared."""
+    leaves = draw(st.lists(package_values() | SCALARS | SUBCLASSES | INT_LISTS,
+                           min_size=1, max_size=6))
+    value = draw(st.recursive(
+        st.sampled_from(leaves),
+        lambda children: (st.lists(children, max_size=4)
+                          | st.lists(children, max_size=4).map(tuple)
+                          | st.dictionaries(TEXT, children, max_size=4)
+                          | st.dictionaries(TEXT, children, max_size=3).map(
+                              collections.OrderedDict)
+                          | st.builds(Point, children, children)),
+        max_leaves=20))
+    return {"report": value, "again": draw(st.sampled_from(leaves)), "leaves": leaves}
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports())
+def test_reports_are_written_as_the_isinstance_writer_wrote_them(report):
+    assert dumps(report) == oracle_dumps(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reports(), st.sampled_from([{3}, {3: "agent"}, {"a": {(1, 2): []}}, [object()]]))
+def test_a_value_with_no_json_form_fails_as_the_isinstance_writer_failed(report, bad):
+    report["bad"] = bad
+    assert _written(dumps, report) == _written(oracle_dumps, report)
+
+
+def test_distance_reports_of_random_trees_are_written_as_before():
+    # nine pairs of random trees on 13 to 15 agents, the sizes whose
+    # reports hold traces of 100 to 200 moves
+    rng = random.Random(1)
+    for n, count in ((13, 4), (14, 3), (15, 2)):
+        for _ in range(count):
+            t1, t2 = random_spanning_tree(n, rng.randrange(10 ** 9)), \
+                random_spanning_tree(n, rng.randrange(10 ** 9))
+            if t1 != t2:
+                report = vars(distance_report(t1, t2))
+                assert dumps(report) == oracle_dumps(report)

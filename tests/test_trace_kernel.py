@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import loccgraph
 from loccgraph import (
+    CatExpand,
     Discard,
     Hypergraph,
     MeasureOut,
@@ -36,6 +37,7 @@ from loccgraph import (
     star_tree,
     trees_copies_to_tree,
 )
+from loccgraph import protocols
 from loccgraph.cli import dumps
 from loccgraph.errors import IllegalMove, InputError, LoccError, require
 
@@ -311,3 +313,69 @@ def test_copies_match_validated_construction(h, k):
     if isinstance(got, Hypergraph):
         _same_value(got)
         assert got.edges == oracle_copies(h, k).edges
+
+
+# ---------------------------------------------------------------------------
+# one agent set and an inline size test per trace
+# ---------------------------------------------------------------------------
+
+def edit_make_trace(start, moves):
+    """The trace builder before it held one agent set for the trace: `edit`
+    built the set again for every move that adds an edge, and the size
+    test was a `require` call per move."""
+    moves = tuple(moves)
+    pool = list(start.edges)
+    for move in moves:
+        require(start.edit(pool, *protocols._operands(move)) < 0, "every move shrinks the state")
+    return ProtocolTrace(start=start, moves=moves, end=start.edited(pool))
+
+
+def any_moves(agents):
+    """Moves of every kind over the state's labels and others, legal or not:
+    unsorted, repeated or foreign members, edges of any size, and values
+    that are no move at all."""
+    label = st.sampled_from(agents) | st.integers(-6, 45)
+    edge = st.lists(label, max_size=4).map(tuple)
+    return st.one_of(
+        st.builds(Discard, edge), st.builds(MeasureOut, edge, label),
+        st.builds(Swap, edge, edge), st.builds(CatExpand, edge, edge),
+        st.sampled_from(["teleport", None, ((1, 2),)]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(states(), st.integers(1, 3), st.integers(0, 10 ** 6), st.integers(0, 12), st.data())
+def test_replay_matches_the_per_move_agent_set_oracle(h, k, seed, length, data):
+    # a legal walk from the state or its copies, with arbitrary moves put
+    # in anywhere: the same trace, or the same error type and text
+    rng = random.Random(seed)
+    start = data.draw(st.sampled_from([h, copies(h, k)]))
+    moves = _walk(start, rng, length)
+    for move in data.draw(st.lists(any_moves(start.agents), max_size=3)):
+        moves.insert(rng.randrange(len(moves) + 1), move)
+    got = _outcome(make_trace, start, moves)
+    assert got == _outcome(edit_make_trace, start, moves)
+    if isinstance(got, ProtocolTrace):
+        _same_value(got.end)
+
+
+@pytest.mark.parametrize("operands", [
+    lambda move: ((), ()),                                     # keeps the state
+    lambda move: ((move.edge,), (move.edge,)),                 # swaps an edge for itself
+    lambda move: ((move.edge,), (move.edge, move.edge[:2])),   # grows the state
+])
+def test_a_move_that_does_not_shrink_fails_like_the_oracle(monkeypatch, operands):
+    start = Hypergraph((1, 2, 3), ((1, 2, 3), (1, 2)))
+    moves = [Discard((1, 2)), Discard((1, 2, 3))]
+    monkeypatch.setattr(protocols, "_operands", operands)
+    expected = (AssertionError, "every move shrinks the state")
+    assert _outcome(make_trace, start, moves) == _outcome(edit_make_trace, start, moves) \
+        == expected
+
+
+def test_a_trace_builds_its_agent_set_once():
+    t1, t2 = path_tree(9), star_tree(9)
+    with mock.patch.object(Hypergraph, "edit", autospec=True,
+                           side_effect=Hypergraph.edit) as edit:
+        trace = trees_copies_to_tree(t1, t2)
+    known = {id(call.args[4]) for call in edit.call_args_list}
+    assert edit.call_count == len(trace.moves) > 1 and len(known) == 1

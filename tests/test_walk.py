@@ -236,4 +236,4 @@ def test_tree_paths_and_two_coloring_match_oracle(t):
         for b in t.agents:
             if a != b:
                 assert [a, *table.path(a, b)[1], b] == oracle_tree_vertex_path(t, a, b)
-    assert _proper_two_coloring(t) == oracle_proper_two_coloring(t)
+    assert _proper_two_coloring(table) == oracle_proper_two_coloring(t)

@@ -206,13 +206,21 @@ def test_cat_copies_vs_tree_on_other_labels():
     check_witness(w, Hypergraph((2, 3, 4), ((2, 3, 4),)), t)
 
 
+def test_cat_copies_vs_tree_walks_its_tree_once():
+    # the walk of the table it reads its coloring from is also its tree check
+    for t in (path_tree(6), star_tree(5), random_spanning_tree(9, 4)):
+        with mock.patch.object(hypergraph, "reach", wraps=hypergraph.reach) as walk:
+            witness_cat_copies_vs_tree(t)
+        assert [c.args for c in walk.call_args_list] == [(t, t.agents[0])]
+
+
 def test_cat_copies_vs_tree_keeps_its_witnesses_on_agents_one_to_n():
     # the witness built from n - 2 copies of cat_state(n), as before any
     # other labels were allowed
     for n in (3, 4, 5, 6):
         for t in all_spanning_trees(n):
             before = make_witness(copies(cat_state(n), n - 2), t,
-                                  Bicoloring(t.agents, _proper_two_coloring(t)))
+                                  Bicoloring(t.agents, _proper_two_coloring(hypergraph.tree_table(t))))
             assert witness_cat_copies_vs_tree(t) == before
 
 
