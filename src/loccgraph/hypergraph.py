@@ -7,9 +7,10 @@ edge multiset may contain repeats: k copies of the same shared state are k
 equal hyperedges.
 
 Everything here is an immutable value; all operations are pure functions
-but `Hypergraph.edit`, which edits the caller's own edge list in place.  An
-entangled hypertree's `tree_table` answers its cuts and hyperpaths from one
-walk; whoever reads it holds it, and the state never keeps it.
+but `Hypergraph.edit`, which edits the caller's own edge list in place and
+trusts its edges.  `tree_table` is the one hypertree test: its table answers
+a hypertree's cuts and hyperpaths from one walk; whoever reads it holds it,
+and the state never keeps it.
 """
 
 from __future__ import annotations
@@ -77,20 +78,26 @@ class Hypergraph:
         return sum(1 for e in self.edges if agent in e)
 
     def replace(self, remove=(), add=()) -> "Hypergraph":
-        """New hypergraph: `edit` on a copy of this state's edges."""
-        pool = list(self.edges)
-        self.edit(pool, remove, add)
+        """New hypergraph: `edit` on a copy of this state's edges, with each
+        `remove` edge sorted and each `add` edge validated after them."""
+        pool, known = list(self.edges), set(self.agents)
+        self.edit(pool, (tuple(sorted(e)) for e in remove),
+                  (self._canonical(e, known) for e in add))
         return _trusted(self.agents, tuple(pool))
 
-    def edit(self, pool: list[Edge], remove=(), add=(), known=None) -> int:
+    @staticmethod
+    def edit(pool: list[Edge], remove, add) -> int:
         """Swap one instance of each `remove` edge in `pool`, a sorted edge
-        list over this state's agents, for the `add` edges, which alone are
-        validated; the change in size_total.  IllegalMove if one is absent.
-        `known` is the set of this state's agents, for a caller that edits
-        many times; without it the set is built here."""
+        list, for the `add` edges; the change in size_total.  IllegalMove if
+        a removed edge is absent.  It sorts and validates nothing.  That is
+        sound for `protocols._operands`, which hands it sorted edges: the
+        removals come first, and each edge it adds is built from members of
+        the edges just found (a measure-out drops one member of an edge of
+        size >= 3, a swap keeps the unshared ends of two pairs that share one
+        agent, a cat expansion adds the pair's outside end), so it has two or
+        more distinct agents of the state."""
         change = 0
-        for edge in remove:
-            e = tuple(sorted(edge))
+        for e in remove:
             try:
                 i = bisect_left(pool, e)
             except TypeError:  # labels that do not compare with the state's
@@ -99,12 +106,9 @@ class Hypergraph:
                 raise IllegalMove(f"hyperedge {e} is not in the state")
             del pool[i]
             change -= len(e)
-        if add:  # a discard adds nothing, so it needs no agent set
-            if known is None:
-                known = set(self.agents)
-            for edge in add:
-                insort(pool, e := self._canonical(edge, known))
-                change += len(e)
+        for e in add:
+            insort(pool, e)
+            change += len(e)
         return change
 
     def edited(self, pool: list[Edge]) -> "Hypergraph":
@@ -210,26 +214,24 @@ def is_connected(h: Hypergraph) -> bool:
 def is_spanning_epr_tree(h: Hypergraph) -> bool:
     """True iff h is a 2-uniform entangled hypertree: connected, acyclic
     and multiplicity-free, with n - 1 EPR pairs."""
-    return all(len(e) == 2 for e in h.edges) and is_entangled_hypertree(h)
+    return epr_tree_table(h) is not None
 
 
-def require_tree_pair(t1: Hypergraph, t2: Hypergraph, *, table: bool = False,
-                      ) -> TreeTable | None:
-    """Raise InputError unless t1 and t2 are spanning EPR trees over one
-    agent set.  With `table`, t1 is checked by the one walk of its
-    `epr_tree_table`, which is returned."""
-    first = epr_tree_table(t1) if table else is_spanning_epr_tree(t1)
-    if not first or not is_spanning_epr_tree(t2):
+def require_tree_pair(t1: Hypergraph, t2: Hypergraph) -> TreeTable:
+    """t1's `epr_tree_table`; InputError unless t1 and t2 are spanning EPR
+    trees over one agent set."""
+    table = epr_tree_table(t1)
+    if table is None or not is_spanning_epr_tree(t2):
         raise InputError("both inputs must be spanning EPR trees")
     if t1.agents != t2.agents:
         raise InputError("trees must span the same agents")
-    return first if table else None
+    return table
 
 
 def is_entangled_hypertree(h: Hypergraph) -> bool:
     """True iff h is connected with no pair of agents joined by two
-    distinct hyperpaths: the test of `tree_table`, without its table."""
-    return h.size_total == h.n + len(h.edges) - 1 and is_connected(h)
+    distinct hyperpaths: iff it has a `tree_table`."""
+    return tree_table(h) is not None
 
 
 @dataclass(frozen=True)
@@ -294,8 +296,8 @@ def tree_table(h: Hypergraph) -> TreeTable | None:
 
 
 def epr_tree_table(h: Hypergraph) -> TreeTable | None:
-    """The `tree_table` of h, the check of `is_spanning_epr_tree` with its
-    table; None unless h is a spanning EPR tree."""
+    """The `tree_table` of h, the one test of `is_spanning_epr_tree`, with
+    its table; None unless h is a spanning EPR tree."""
     return tree_table(h) if all(len(e) == 2 for e in h.edges) else None
 
 

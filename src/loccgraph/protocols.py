@@ -28,8 +28,7 @@ from .hypergraph import (
     Hypergraph,
     cat_state,
     copies,
-    is_spanning_epr_tree,
-    reach,
+    epr_tree_table,
     require_tree_pair,
 )
 from .merging import cheap_cuts
@@ -68,16 +67,18 @@ LoccMove = Union[Discard, MeasureOut, Swap, CatExpand]
 
 
 def apply_move(state: Hypergraph, move: LoccMove) -> Hypergraph:
-    """The rewritten state, by `replace` with the move's operands; the agent
-    set never changes.  Raises IllegalMove with the violated precondition."""
-    return state.replace(*_operands(move))
+    """The rewritten state, by `edit` on a copy of its edges; the agent set
+    never changes.  Raises IllegalMove with the violated precondition."""
+    pool = list(state.edges)
+    Hypergraph.edit(pool, *_operands(move))
+    return state.edited(pool)
 
 
 def _operands(move: LoccMove) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
-    """The edges the move removes and adds, once its own preconditions hold;
-    raises IllegalMove with the one it breaks.  `edit` finds absent edges."""
+    """The sorted edges the move removes and adds, once its own preconditions
+    hold, else IllegalMove naming the one it breaks; `edit` trusts them."""
     if isinstance(move, Discard):
-        return (move.edge,), ()
+        return (tuple(sorted(move.edge)),), ()
     if isinstance(move, MeasureOut):
         edge = tuple(sorted(move.edge))
         if len(edge) < 3:
@@ -122,14 +123,13 @@ class ProtocolTrace:
 def make_trace(start: Hypergraph, moves) -> ProtocolTrace:
     """Build a trace by replaying the moves, checking every precondition
     and the strict decrease of the size potential.  The moves `edit` one
-    copy of the start's edge list against one agent set, and only the end
-    state is built."""
+    copy of the start's edge list, and only the end state is built."""
     moves = tuple(moves)
-    pool, known = list(start.edges), set(start.agents)
-    edit, operands = start.edit, _operands
+    pool = list(start.edges)
+    edit, operands = Hypergraph.edit, _operands
     for move in moves:
         remove, add = operands(move)
-        if edit(pool, remove, add, known) >= 0:
+        if edit(pool, remove, add) >= 0:
             require(False, "every move shrinks the state")
     return ProtocolTrace(start=start, moves=moves, end=start.edited(pool))
 
@@ -152,21 +152,19 @@ def tree_to_cat(t: Hypergraph) -> ProtocolTrace:
     """Build the n-CAT from EPR pairs shared along a spanning tree.
 
     Teleportation absorbs one pair per step: rooted at the lowest agent,
-    edges are consumed in breadth-first discovery order, so every pair
-    touches the CAT grown so far and exactly n-2 expansions turn the first
-    pair into the full CAT.  For n = 2 the pair already is the 2-CAT and
-    the trace is empty.
+    edges are consumed in the breadth-first discovery order of the tree's
+    table, so every pair touches the CAT grown so far and exactly n-2
+    expansions turn the first pair into the full CAT.  For n = 2 the pair
+    already is the 2-CAT and the trace is empty.
     """
-    if not is_spanning_epr_tree(t):
+    table = epr_tree_table(t)
+    if table is None:
         raise InputError("input is not a spanning EPR tree")
-    steps = [(child, step[1]) for child, step in reach(t, t.agents[0]).items()
-             if step is not None]
-    current = steps[0][1]
-    moves = []
-    for child, pair in steps[1:]:
-        moves.append(CatExpand(edge=current, pair=pair))
-        current = tuple(sorted(current + (child,)))
-    return make_trace(t, moves)
+    if t.n < 2:
+        raise InputError("a CAT state needs at least two agents")
+    order = list(table.edge)
+    return make_trace(t, [CatExpand(edge=tuple(sorted(order[:k])), pair=table.edge[order[k]])
+                          for k in range(2, t.n)])
 
 
 def cat_to_epr(n: int, a: int, b: int) -> ProtocolTrace:
@@ -193,7 +191,7 @@ def _measure_outs(cat: Edge, a: int, b: int) -> list[MeasureOut]:
 def cat_copies_to_tree(t: Hypergraph) -> ProtocolTrace:
     """Build a spanning tree from n-1 copies of the CAT over its agents,
     one copy per edge via the measure-out distillation."""
-    if not is_spanning_epr_tree(t):
+    if epr_tree_table(t) is None:
         raise InputError("target is not a spanning EPR tree")
     if t.n < 2:
         raise InputError("a CAT state needs at least two agents")
@@ -208,7 +206,7 @@ def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:
     copy manufactures one missing edge of t2 by swapping along the t1 path
     between its endpoints, then discards its leftovers.
     """
-    table = require_tree_pair(t1, t2, table=True)
+    table = require_tree_pair(t1, t2)
     # tree edges are sorted and distinct, so filters keep them in order
     discards = dict(zip(t1.edges, map(Discard, t1.edges)))
     missing = [e for e in t2.edges if e not in discards]

@@ -188,9 +188,9 @@ def quantum_distance(seed: int, sample_count: int) -> dict:
         b = random_spanning_tree(n, rng.randrange(10 ** 9))
         c = random_spanning_tree(n, rng.randrange(10 ** 9))
         with sweep.case():
-            require(qd(a, b) == qd(b, a), "symmetry")
-            require((qd(a, b) == 0) == (a == b), "zero iff equal")
-            require(qd(a, c) <= qd(a, b) + qd(b, c), "triangle inequality")
+            require((ab := qd(a, b)) == qd(b, a), "symmetry")
+            require((ab == 0) == (a == b), "zero iff equal")
+            require(qd(a, c) <= ab + qd(b, c), "triangle inequality")
             if a != b:
                 rep = distance.distance_report(a, b)
                 require(2 <= rep.copies_lower <= rep.copies_upper == rep.qd + 1,

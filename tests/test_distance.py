@@ -37,13 +37,13 @@ def test_distance_rejects_non_trees():
 
 
 def test_a_report_validates_each_tree_once():
-    # t1 is checked by the walk of the table the copies protocol reads, t2 by
-    # `is_spanning_epr_tree`; each tree is walked once
+    # each tree is checked by the one walk of its table, t1's being the one
+    # the copies protocol reads its paths from
     for t1, t2 in ((path_tree(6), star_tree(6)), (path_tree(5), path_tree(5))):
         with mock.patch.object(hypergraph, "tree_table", wraps=hypergraph.tree_table) as table, \
                 mock.patch.object(hypergraph, "reach", wraps=hypergraph.reach) as walk:
             distance_report(t1, t2)
-        assert [c.args for c in table.call_args_list] == [(t1,)]
+        assert [c.args for c in table.call_args_list] == [(t1,), (t2,)]
         assert [c.args for c in walk.call_args_list] == [(t1, 1), (t2, 1)]
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from loccgraph import (
     tree_to_cat,
     trees_copies_to_tree,
 )
+from loccgraph import hypergraph
 from loccgraph.enumeration import all_spanning_trees, random_spanning_tree
 from loccgraph.errors import BoundExceeded, IllegalMove, InputError
 from loccgraph.distance import quantum_distance
@@ -60,6 +62,19 @@ def test_cat_expand_absorbs_a_pair():
 def test_discard_removes_one_instance():
     out = apply_move(H(2, (1, 2), (1, 2)), Discard((1, 2)))
     assert out == H(2, (1, 2))
+
+
+def test_a_move_may_name_its_edges_in_any_member_order():
+    # `_operands` sorts what it removes and adds, for `edit`, which trusts
+    # it; the set {3, 8} iterates as (8, 3)
+    state = H(8, (3, 5), (5, 8), (4, 6), (1, 2, 4))
+    for move, expected in [
+        (Discard((5, 3)), H(8, (5, 8), (4, 6), (1, 2, 4))),
+        (MeasureOut((4, 2, 1), 4), H(8, (3, 5), (5, 8), (4, 6), (1, 2))),
+        (Swap((5, 3), (8, 5)), H(8, (3, 8), (4, 6), (1, 2, 4))),
+        (CatExpand((4, 1, 2), (6, 4)), H(8, (3, 5), (5, 8), (1, 2, 4, 6))),
+    ]:
+        assert apply_move(state, move) == make_trace(state, [move]).end == expected
 
 
 def test_illegal_moves_are_rejected():
@@ -110,6 +125,34 @@ def test_tree_to_cat_uses_exactly_n_minus_two_moves():
 def test_tree_to_cat_rejects_non_trees():
     with pytest.raises(InputError, match="input is not a spanning EPR tree"):
         tree_to_cat(H(3, (1, 2)))
+
+
+def test_one_agent_makes_no_cat():
+    # one agent and no edge is a spanning EPR tree, but no CAT
+    for build in (tree_to_cat, cat_copies_to_tree):
+        with pytest.raises(InputError, match="^a CAT state needs at least two agents$"):
+            build(H(1))
+
+
+def oracle_tree_to_cat_moves(t):
+    """The expansions as they were built, from a second breadth-first walk
+    after the one that checked the tree."""
+    steps = [(child, step[1]) for child, step in hypergraph.reach(t, t.agents[0]).items()
+             if step is not None]
+    current, moves = steps[0][1], []
+    for child, pair in steps[1:]:
+        moves.append(CatExpand(edge=current, pair=pair))
+        current = tuple(sorted(current + (child,)))
+    return tuple(moves)
+
+
+def test_tree_to_cat_walks_its_tree_once_and_keeps_its_moves():
+    trees = itertools.chain(all_spanning_trees(5), (random_spanning_tree(9, s) for s in range(20)))
+    for t in trees:
+        with mock.patch.object(hypergraph, "reach", wraps=hypergraph.reach) as walk:
+            moves = tree_to_cat(t).moves
+        assert walk.call_count == 1
+        assert moves == oracle_tree_to_cat_moves(t)
 
 
 def test_cat_to_epr():

@@ -7,14 +7,17 @@ edge with `list.remove`, and `copies` re-validated and re-sorted all k·|E|
 edges through the public constructor.  Later `make_trace` built a new
 state per move through `apply_move`, and the copies protocol re-sorted set
 differences for every copy, sorted each swap's operands and found each t1
-path by a breadth-first search (`walk_oracles.oracle_hyperpath`).
+path by a breadth-first search (`walk_oracles.oracle_hyperpath`).  Until
+`Hypergraph.edit` trusted the edges `_operands` hands it, it sorted every
+removed edge again and validated every added one (`oracle_edit`).
 """
 
+import dataclasses
 import os
 import random
 import subprocess
 import sys
-from bisect import insort
+from bisect import bisect_left, insort
 from unittest import mock
 
 import pytest
@@ -29,11 +32,13 @@ from loccgraph import (
     ProtocolTrace,
     Swap,
     apply_move,
+    cat_state,
     copies,
     legal_moves,
     make_trace,
     path_tree,
     random_spanning_tree,
+    reachability_search,
     star_tree,
     trees_copies_to_tree,
 )
@@ -316,18 +321,49 @@ def test_copies_match_validated_construction(h, k):
 
 
 # ---------------------------------------------------------------------------
-# one agent set and an inline size test per trace
+# trusted edits: `_operands` checks a move once, and `edit` trusts its edges
 # ---------------------------------------------------------------------------
 
+def oracle_edit(self, pool, remove=(), add=()):
+    """`Hypergraph.edit` before it trusted its edges: it sorted every removed
+    edge again and validated every added edge against the state's agents."""
+    change = 0
+    for edge in remove:
+        e = tuple(sorted(edge))
+        try:
+            i = bisect_left(pool, e)
+        except TypeError:  # labels that do not compare with the state's
+            i = len(pool)
+        if i == len(pool) or pool[i] != e:
+            raise IllegalMove(f"hyperedge {e} is not in the state")
+        del pool[i]
+        change -= len(e)
+    if add:
+        known = set(self.agents)
+        for edge in add:
+            insort(pool, e := self._canonical(edge, known))
+            change += len(e)
+    return change
+
+
 def edit_make_trace(start, moves):
-    """The trace builder before it held one agent set for the trace: `edit`
-    built the set again for every move that adds an edge, and the size
-    test was a `require` call per move."""
+    """The trace builder before it held one agent set for the trace: the
+    validating edit built the set again for every move that adds an edge,
+    and the size test was a `require` call per move."""
     moves = tuple(moves)
     pool = list(start.edges)
     for move in moves:
-        require(start.edit(pool, *protocols._operands(move)) < 0, "every move shrinks the state")
+        require(oracle_edit(start, pool, *protocols._operands(move)) < 0,
+                "every move shrinks the state")
     return ProtocolTrace(start=start, moves=moves, end=start.edited(pool))
+
+
+def oracle_apply_move(state, move):
+    """`apply_move` before it trusted its edges: the validating edit on a copy
+    of the state's edges, built into a state by the validating constructor."""
+    pool = list(state.edges)
+    oracle_edit(state, pool, *protocols._operands(move))
+    return Hypergraph(state.agents, tuple(pool))
 
 
 def any_moves(agents):
@@ -340,6 +376,17 @@ def any_moves(agents):
         st.builds(Discard, edge), st.builds(MeasureOut, edge, label),
         st.builds(Swap, edge, edge), st.builds(CatExpand, edge, edge),
         st.sampled_from(["teleport", None, ((1, 2),)]))
+
+
+def _reordered(move, rng):
+    """The move with the members of each of its edges in a random order."""
+    def mix(value):
+        if not isinstance(value, tuple):
+            return value
+        members = list(value)
+        rng.shuffle(members)
+        return tuple(members)
+    return type(move)(*(mix(getattr(move, f.name)) for f in dataclasses.fields(move)))
 
 
 @settings(max_examples=500, deadline=None)
@@ -358,6 +405,27 @@ def test_replay_matches_the_per_move_agent_set_oracle(h, k, seed, length, data):
         _same_value(got.end)
 
 
+@settings(max_examples=200, deadline=None)
+@given(states(), st.integers(1, 3), st.integers(0, 10 ** 6), st.integers(0, 8), st.data())
+def test_apply_move_matches_the_validating_edit_oracle(h, k, seed, length, data):
+    # every legal move of each state on a walk from the state or its copies,
+    # also with the members of its edges reordered, and arbitrary moves: the
+    # same state, or the same error type and text
+    rng = random.Random(seed)
+    state = data.draw(st.sampled_from([h, copies(h, k)]))
+    for _ in range(length + 1):
+        options = legal_moves(state)
+        others = data.draw(st.lists(any_moves(state.agents), max_size=3))
+        for move in [*options, *(_reordered(m, rng) for m in options), *others]:
+            got = _outcome(apply_move, state, move)
+            assert got == _outcome(oracle_apply_move, state, move)
+            if isinstance(got, Hypergraph):
+                _same_value(got)
+        if not options:
+            break
+        state = apply_move(state, rng.choice(options))
+
+
 @pytest.mark.parametrize("operands", [
     lambda move: ((), ()),                                     # keeps the state
     lambda move: ((move.edge,), (move.edge,)),                 # swaps an edge for itself
@@ -372,10 +440,17 @@ def test_a_move_that_does_not_shrink_fails_like_the_oracle(monkeypatch, operands
         == expected
 
 
-def test_a_trace_builds_its_agent_set_once():
-    t1, t2 = path_tree(9), star_tree(9)
-    with mock.patch.object(Hypergraph, "edit", autospec=True,
-                           side_effect=Hypergraph.edit) as edit:
+def test_a_legal_move_validates_no_edge():
+    # neither a trace nor a search validates an edge a move adds, while
+    # `replace(add=...)`, the free-form edit, still does
+    t1, t2, source, target, h = path_tree(9), star_tree(9), star_tree(5), cat_state(5), \
+        path_tree(3)
+    with mock.patch.object(Hypergraph, "_canonical", autospec=True,
+                           side_effect=Hypergraph._canonical) as canonical, \
+            mock.patch.object(protocols, "apply_move", wraps=protocols.apply_move) as applied:
         trace = trees_copies_to_tree(t1, t2)
-    known = {id(call.args[4]) for call in edit.call_args_list}
-    assert edit.call_count == len(trace.moves) > 1 and len(known) == 1
+        found = reachability_search(source, target)
+        assert canonical.call_count == 0
+        h.replace(remove=[(1, 2)], add=[(1, 3)])
+    assert len(trace.moves) > 1 and found is not None and applied.call_count > 1
+    assert canonical.call_count == 1
