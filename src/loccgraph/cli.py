@@ -441,6 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for option in ("color_bound", "search_budget"):  # checked before any input is read
+            if getattr(args, option, 1) < 1:
+                raise InputError(f"--{option.replace('_', '-')} must be at least 1, "
+                                 f"got {getattr(args, option)}")
         # the handler is looked up at each call: one rebound after the parser was built runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (LoccError, OSError) as exc:

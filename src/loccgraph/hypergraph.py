@@ -6,11 +6,11 @@ shared by its k members.  An EPR graph is simply the 2-uniform case.  The
 edge multiset may contain repeats: k copies of the same shared state are k
 equal hyperedges.
 
-Everything here is an immutable value; all operations are pure functions
-but `Hypergraph.edit`, which edits the caller's own edge list in place and
-trusts its edges.  `tree_table` is the one hypertree test: its table answers
-a hypertree's cuts and hyperpaths from one walk; whoever reads it holds it,
-and the state never keeps it.
+Everything here is an immutable value: a state is its agents and its edges,
+and nothing is written to it after construction.  All operations are pure
+functions but `Hypergraph.edit`, which edits the caller's own edge list in
+place and trusts its edges.  `tree_table` is the one hypertree test: its
+table answers a hypertree's cuts and hyperpaths from one walk.
 """
 
 from __future__ import annotations
@@ -77,14 +77,6 @@ class Hypergraph:
         """Number of hyperedge instances containing the agent."""
         return sum(1 for e in self.edges if agent in e)
 
-    def replace(self, remove=(), add=()) -> "Hypergraph":
-        """New hypergraph: `edit` on a copy of this state's edges, with each
-        `remove` edge sorted and each `add` edge validated after them."""
-        pool, known = list(self.edges), set(self.agents)
-        self.edit(pool, (tuple(sorted(e)) for e in remove),
-                  (self._canonical(e, known) for e in add))
-        return _trusted(self.agents, tuple(pool))
-
     @staticmethod
     def edit(pool: list[Edge], remove, add) -> int:
         """Swap one instance of each `remove` edge in `pool`, a sorted edge
@@ -121,7 +113,7 @@ def _trusted(agents: tuple[int, ...], edges: tuple[Edge, ...]) -> Hypergraph:
     """A Hypergraph from parts already in canonical form (sorted agents,
     sorted edges of known agents, sorted edge tuple), put into its instance
     dict in one update, past `__post_init__` and the frozen `__setattr__`.
-    Callers vouch for them."""
+    Callers vouch for them: `edited`, `copies` and `parse_hypergraph`."""
     h = object.__new__(Hypergraph)
     h.__dict__.update(agents=agents, edges=edges)
     return h
@@ -173,15 +165,11 @@ def reach(h: Hypergraph, start: int) -> dict[int, tuple[int, Edge] | None]:
     Returns the reached agents in discovery order, each mapped to the
     (agent, hyperedge) it was first reached through; `start` maps to None.
     Discovery order puts every agent after the agent it was reached from.
-    Each state's agent -> hyperedge index is built once, on its first walk.
     """
-    index = h.__dict__.get("_index")
-    if index is None:
-        index = {a: [] for a in h.agents}
-        for e in h.edges:
-            for a in e:
-                index[a].append(e)
-        object.__setattr__(h, "_index", index)
+    index = {a: [] for a in h.agents}
+    for e in h.edges:
+        for a in e:
+            index[a].append(e)
     via: dict[int, tuple[int, Edge] | None] = {start: None}
     frontier = [start]
     for x in frontier:

@@ -235,6 +235,20 @@ def test_enumerate_hypertrees_rejects_a_count_below_one(capsys, count):
     assert captured.err == f"error: --count must be at least 1, got {count}\n"
 
 
+@pytest.mark.parametrize("command,option,value", [
+    ("check", "--search-budget", "-1"),
+    ("check", "--color-bound", "-3"),
+    ("distance", "--color-bound", "0"),
+    ("protocol", "--search-budget", "0"),
+])
+def test_a_bound_below_one_is_rejected(two_epr_file, capsys, command, option, value):
+    # a bound below one would report a truncated search or a skipped scan
+    assert main([command, two_epr_file, two_epr_file, option, value]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} must be at least 1, got {value}\n"
+
+
 def test_export_dot(tmp_path, capsys):
     a = write_state(tmp_path, "a.txt", "agents: 3\ncat: 1 2 3\n")
     code = main(["export-dot", a])

@@ -1,5 +1,5 @@
 """The bit-parallel cut kernel against the per-coloring scans it replaced,
-and the trusted `Hypergraph.replace` against full construction.
+and the states moves build, past validation, against full construction.
 
 The oracles below are the scans `merging` ran before the kernel: one
 `Bicoloring` per coloring from `iter_bicolorings`, both cuts by `bcm_cut`.
@@ -31,7 +31,7 @@ from loccgraph import (
     star_tree,
 )
 from loccgraph import hypergraph, merging
-from loccgraph.errors import BoundExceeded, IllegalMove, InputError
+from loccgraph.errors import BoundExceeded, InputError
 from loccgraph.merging import (
     DEFAULT_COLOR_BOUND,
     BlockingWitness,
@@ -286,7 +286,7 @@ def test_scan_at_the_default_color_bound():
 
 
 # ---------------------------------------------------------------------------
-# trusted replace against full construction
+# trusted moves against full construction
 # ---------------------------------------------------------------------------
 
 def _move_edges(move):
@@ -355,39 +355,10 @@ def test_trusted_states_match_the_setattr_oracle(pair, k, seed):
         assert got.size_total == old.size_total == sum(map(len, got.edges))
         assert vars(got) == vars(old)
     last = states[-1]
-    for name in ("agents", "edges", "_index"):
+    for name in ("agents", "edges"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(last, name, ())
-    assert "_index" not in vars(last)
     hypergraph.reach(last, last.agents[0])
-    index = vars(last)["_index"]
-    hypergraph.reach(last, last.agents[-1])
-    assert vars(last)["_index"] is index
-
-
-@settings(max_examples=200, deadline=None)
-@given(state_pairs(max_n=8), st.data())
-def test_replace_matches_construction(pair, data):
-    h, other = pair
-    dropped = data.draw(st.lists(st.booleans(), min_size=len(h.edges),
-                                 max_size=len(h.edges)))
-    remove = [e for e, drop in zip(h.edges, dropped) if drop]
-    add = [tuple(reversed(e)) for e in other.edges]
-    _same_value(h.replace(remove=remove, add=add), oracle_replace(h, remove, add))
-
-
-@pytest.mark.parametrize("bad", [(5,), (1, 1), (1, 9), (2, 7, 2)],
-                         ids=["one-member", "repeat", "outside", "repeat-of-three"])
-def test_replace_rejects_a_bad_added_edge_like_the_constructor(bad):
-    h = Hypergraph((1, 2, 3, 5, 7), ((1, 2), (2, 3, 5)))
-    with pytest.raises(InputError) as built:
-        Hypergraph(h.agents, h.edges + ((3, 5), bad))
-    with pytest.raises(InputError) as replaced:
-        h.replace(remove=[(1, 2)], add=[(3, 5), bad])
-    assert str(replaced.value) == str(built.value)
-
-
-def test_replace_checks_removals_before_additions():
-    h = Hypergraph((1, 2, 3), ((1, 2),))
-    with pytest.raises(IllegalMove, match=r"hyperedge \(2, 3\) is not in the state"):
-        h.replace(remove=[(2, 3)], add=[(1, 1)])
+    hypergraph.tree_table(last)
+    hypergraph.components(last)
+    assert vars(last).keys() == {"agents", "edges"}

@@ -65,8 +65,8 @@ def _is_object_new(node: ast.AST) -> bool:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_trusted_construction_stays_in_hypergraph(path):
     # one trusted constructor in hypergraph.py builds with object.__new__,
-    # skipping validation, for `replace` and `copies`; anywhere else that
-    # would let unchecked states in
+    # skipping validation, for `edited`, `copies` and `parse_hypergraph`;
+    # anywhere else that would let unchecked states in
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if _is_object_new(node)]
     if path.name == "hypergraph.py":

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loccgraph import (
+    Discard,
     Hypergraph,
+    apply_move,
     format_hypergraph,
     is_connected,
     is_entangled_hypertree,
@@ -52,11 +54,12 @@ def test_rejects_bad_edges():
 
 
 def test_multiplicity_and_replace():
+    # a discarded copy of a repeated edge leaves the others in place
     h = H(4, (1, 2), (1, 2), (3, 4))
     assert h.edges.count((1, 2)) == 2
-    assert h.replace(remove=[(1, 2)]).edges.count((1, 2)) == 1
+    assert apply_move(h, Discard((1, 2))).edges.count((1, 2)) == 1
     with pytest.raises(IllegalMove, match=re.escape("hyperedge (1, 3) is not in the state")):
-        h.replace(remove=[(1, 3)])
+        apply_move(h, Discard((1, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,7 @@ def package_values(draw):
     pool = [tuple(sorted(e)) for e in draw(st.lists(edge, min_size=1, max_size=4))]
     state = Hypergraph(agents, tuple(draw(st.lists(st.sampled_from(pool), max_size=8))))
     if draw(st.booleans()):
-        reach(state, agents[0])  # a walked state keeps its agent index, which is never written
+        reach(state, agents[0])  # a walked state is written as an unwalked one
     kind = draw(st.sampled_from(["state", "move", "trace", "coloring"]))
     if kind == "state":
         return state
@@ -301,7 +301,7 @@ def package_values(draw):
     if kind == "move":
         return draw(st.sampled_from(moves)) if moves else Discard(pool[0])
     shared = moves + moves[::-1]  # one move object at two places in a trace
-    return ProtocolTrace(state, tuple(shared), state.replace())
+    return ProtocolTrace(state, tuple(shared), Hypergraph(state.agents, state.edges))
 
 
 SUBCLASSES = (st.builds(Tag, TEXT) | st.sampled_from([Side.LEFT, Level.LOW])

@@ -2,14 +2,15 @@
 
 The oracles below are the trace kernel as it was before each move cost a
 few C-level operations: `make_trace` summed every state's edge sizes in a
-Python generator twice per move, `Hypergraph.replace` found each removed
-edge with `list.remove`, and `copies` re-validated and re-sorted all k·|E|
-edges through the public constructor.  Later `make_trace` built a new
-state per move through `apply_move`, and the copies protocol re-sorted set
-differences for every copy, sorted each swap's operands and found each t1
-path by a breadth-first search (`walk_oracles.oracle_hyperpath`).  Until
-`Hypergraph.edit` trusted the edges `_operands` hands it, it sorted every
-removed edge again and validated every added one (`oracle_edit`).
+Python generator twice per move, each move built a new state whose removed
+edges were found with `list.remove` (`oracle_replace`), and `copies`
+re-validated and re-sorted all k·|E| edges through the public constructor.
+Later `make_trace` built a new state per move through `apply_move`, and the
+copies protocol re-sorted set differences for every copy, sorted each swap's
+operands and found each t1 path by a breadth-first search
+(`walk_oracles.oracle_hyperpath`).  Until `Hypergraph.edit` trusted the
+edges `_operands` hands it, it sorted every removed edge again and
+validated every added one (`oracle_edit`).
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ from bisect import bisect_left, insort
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import loccgraph
 from loccgraph import (
@@ -36,6 +37,7 @@ from loccgraph import (
     copies,
     legal_moves,
     make_trace,
+    parse_hypergraph,
     path_tree,
     random_spanning_tree,
     reachability_search,
@@ -45,6 +47,7 @@ from loccgraph import (
 from loccgraph import protocols
 from loccgraph.cli import dumps
 from loccgraph.errors import IllegalMove, InputError, LoccError, require
+from loccgraph.hypergraph import components, reach, tree_table
 
 from walk_oracles import oracle_hyperpath
 
@@ -77,15 +80,14 @@ def oracle_copies(h, k):
 
 
 def oracle_make_trace(start, moves):
-    """The old trace builder, with every move applied through the old
-    `replace`."""
-    with mock.patch.object(Hypergraph, "replace", oracle_replace):
-        state = start
-        for move in moves:
-            nxt = apply_move(state, move)
-            if not oracle_size_total(nxt) < oracle_size_total(state):
-                raise AssertionError("every move shrinks the state")
-            state = nxt
+    """The old trace builder: every move's operands applied to a new state
+    by the list-remove `oracle_replace`, never through `Hypergraph.edit`."""
+    state = start
+    for move in moves:
+        nxt = oracle_replace(state, *protocols._operands(move))
+        if not oracle_size_total(nxt) < oracle_size_total(state):
+            raise AssertionError("every move shrinks the state")
+        state = nxt
     return ProtocolTrace(start=start, moves=tuple(moves), end=state)
 
 
@@ -204,20 +206,36 @@ def test_the_one_list_replay_matches_the_stepwise_oracle(h, other, k, seed, leng
             _same_value(got.end)
 
 
+def _holds_agents_and_edges_alone(state):
+    """Walked, tabled and split into components, the state still holds its
+    agents and edges and nothing else."""
+    reach(state, state.agents[-1])
+    tree_table(state)
+    components(state)
+    assert vars(state).keys() == {"agents", "edges"}
+
+
 @settings(max_examples=300, deadline=None)
 @given(states(), st.integers(1, 4), st.integers(0, 10 ** 6), st.integers(0, 16))
 def test_states_carry_no_size_and_sum_their_edges(h, k, seed, length):
-    # `copies` and every move build a state from its agents and edges alone;
-    # its size is read from its edges
+    # `copies`, every move, a trace's end and a parsed file build a state
+    # from its agents and edges alone; its size is read from its edges
     rng = random.Random(seed)
-    for state in (h, copies(h, k)):
+    label = {a: i for i, a in enumerate(h.agents, 1)}
+    text = f"agents: {h.n}\n" + "".join(f"cat: {' '.join(str(label[a]) for a in e)}\n"
+                                        for e in h.edges)
+    _holds_agents_and_edges_alone(parse_hypergraph(text))
+    for start in (h, copies(h, k)):
+        state, moves = start, []
         for _ in range(length + 1):
-            assert set(vars(state)) <= {"agents", "edges", "_index"}
+            _holds_agents_and_edges_alone(state)
             assert state.size_total == oracle_size_total(state)
             options = legal_moves(state)
             if not options:
                 break
-            state = apply_move(state, rng.choice(options))
+            moves.append(rng.choice(options))
+            state = apply_move(state, moves[-1])
+        _holds_agents_and_edges_alone(make_trace(start, moves).end)
 
 
 def test_a_generator_of_moves_is_kept_in_the_trace():
@@ -273,36 +291,26 @@ def test_a_move_that_keeps_its_state_is_caught_under_optimize_flag(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# replace
+# removed edges: the edit a move makes
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=300, deadline=None)
-@given(states(), states(), st.data())
-def test_replace_matches_the_list_remove_oracle(h, other, data):
-    # removals mix present edges, repeats and edges of another state, in
-    # any member order; additions are validated like construction
-    candidates = [*h.edges, *other.edges, h.agents[:2]]
-    remove = [tuple(data.draw(st.permutations(e)))
-              for e in data.draw(st.lists(st.sampled_from(candidates), max_size=5))]
-    add = data.draw(st.lists(st.sampled_from(candidates), max_size=3))
-    got = _outcome(h.replace, remove, add)
-    assert got == _outcome(oracle_replace, h, remove, add)
-    if isinstance(got, Hypergraph):
-        _same_value(got)
-
-
 def test_replace_keeps_the_absent_edge_message_for_labels_of_another_type():
+    # a removed edge whose labels do not compare with the state's is absent
     h = Hypergraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
-    for remove in ([(1, 2)], [("b", "c"), (1, 2)]):
+    for moves in ([Discard((1, 2))], [Discard(("b", "c")), Discard((2, 1))]):
         with pytest.raises(IllegalMove) as info:
-            h.replace(remove=remove)
+            apply_move(h, moves[-1])
         assert str(info.value) == "hyperedge (1, 2) is not in the state"
-        assert _outcome(oracle_replace, h, remove) == (IllegalMove, str(info.value))
+        expected = (IllegalMove, str(info.value))
+        assert _outcome(make_trace, h, moves) == _outcome(oracle_make_trace, h, moves) \
+            == expected
 
 
 def test_replace_removes_one_instance_of_a_repeated_edge():
     h = Hypergraph((1, 2, 3), ((1, 2), (1, 2), (1, 2), (2, 3)))
-    assert h.replace(remove=[(2, 1), (1, 2)]).edges == ((1, 2), (2, 3))
+    moves = [Discard((2, 1)), Discard((1, 2))]
+    assert make_trace(h, moves).end.edges == ((1, 2), (2, 3))
+    assert apply_move(h, moves[0]).edges == ((1, 2), (1, 2), (2, 3))
     assert apply_move(h, Swap(left=(1, 2), right=(2, 3))).edges == ((1, 2), (1, 2), (1, 3))
 
 
@@ -389,7 +397,8 @@ def _reordered(move, rng):
     return type(move)(*(mix(getattr(move, f.name)) for f in dataclasses.fields(move)))
 
 
-@settings(max_examples=500, deadline=None)
+# the explain phase has crashed while shrinking and hidden the falsifying example
+@settings(max_examples=500, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
 @given(states(), st.integers(1, 3), st.integers(0, 10 ** 6), st.integers(0, 12), st.data())
 def test_replay_matches_the_per_move_agent_set_oracle(h, k, seed, length, data):
     # a legal walk from the state or its copies, with arbitrary moves put
@@ -441,8 +450,8 @@ def test_a_move_that_does_not_shrink_fails_like_the_oracle(monkeypatch, operands
 
 
 def test_a_legal_move_validates_no_edge():
-    # neither a trace nor a search validates an edge a move adds, while
-    # `replace(add=...)`, the free-form edit, still does
+    # neither a trace nor a search validates an edge a move adds, while the
+    # constructor still does
     t1, t2, source, target, h = path_tree(9), star_tree(9), star_tree(5), cat_state(5), \
         path_tree(3)
     with mock.patch.object(Hypergraph, "_canonical", autospec=True,
@@ -451,6 +460,6 @@ def test_a_legal_move_validates_no_edge():
         trace = trees_copies_to_tree(t1, t2)
         found = reachability_search(source, target)
         assert canonical.call_count == 0
-        h.replace(remove=[(1, 2)], add=[(1, 3)])
+        Hypergraph(h.agents, ((1, 3),))
     assert len(trace.moves) > 1 and found is not None and applied.call_count > 1
     assert canonical.call_count == 1

@@ -188,7 +188,7 @@ def test_walk_without_an_edge_matches_oracle(h):
 @settings(max_examples=300, deadline=None)
 @given(any_structure, st.data())
 def test_walk_matches_the_per_call_index_oracle(h, data):
-    # one state serves every start, twice over, so its kept index is reused
+    # one state serves every start, twice over: a walk leaves no index on it
     for v in data.draw(st.permutations(h.agents)) * 2:
         assert list(reach(h, v).items()) == list(oracle_reach(h, v).items())
 
