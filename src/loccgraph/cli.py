@@ -30,8 +30,8 @@ from .protocols import (
     MeasureOut,
     ProtocolTrace,
     Swap,
-    make_trace,
     reachability_search,
+    replay_trace,
 )
 from .enumeration import TREE_ENUM_MAX_N, all_spanning_trees, random_r_uniform_hypertree
 from .distance import distance_report
@@ -175,9 +175,8 @@ def trace_from_json(data: dict) -> ProtocolTrace:
         raise InputError(f"trace JSON lacks the field {exc}") from None
     except TypeError as exc:
         raise InputError(f"trace JSON has the wrong shape: {exc}") from None
-    trace = make_trace(start, moves)
-    if trace.end != end:
-        raise InputError("trace end state does not replay")
+    trace = ProtocolTrace(start, tuple(moves), end)
+    replay_trace(trace)
     return trace
 
 
@@ -333,8 +332,6 @@ def cmd_enumerate(args) -> int:
     if args.kind == "trees":
         instances = all_spanning_trees(args.n)
     else:
-        if args.count < 1:
-            raise InputError(f"--count must be at least 1, got {args.count}")
         instances = (random_r_uniform_hypertree(args.n, args.r, args.seed + i)
                      for i in range(args.count))
     print("\n".join(map(format_hypergraph, instances)), end="")
@@ -367,8 +364,6 @@ def cmd_verify_theorems(args) -> int:
     # after the sweeps at n = 7
     if not 3 <= args.n_max <= TREE_ENUM_MAX_N:
         raise InputError(f"--n-max must lie in 3..{TREE_ENUM_MAX_N}, got {args.n_max}")
-    if args.sample_count < 1:
-        raise InputError(f"--sample-count must be at least 1, got {args.sample_count}")
     if not args.r_list:
         raise InputError("--r-list needs at least one value")
     if any(r < 3 for r in args.r_list):
@@ -441,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for option in ("color_bound", "search_budget"):  # checked before any input is read
+        # checked before any input is read
+        for option in ("color_bound", "search_budget", "sample_count", "count"):
             if getattr(args, option, 1) < 1:
                 raise InputError(f"--{option.replace('_', '-')} must be at least 1, "
                                  f"got {getattr(args, option)}")

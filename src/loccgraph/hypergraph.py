@@ -181,15 +181,6 @@ def reach(h: Hypergraph, start: int) -> dict[int, tuple[int, Edge] | None]:
     return via
 
 
-def components(h: Hypergraph) -> list[frozenset[int]]:
-    """Connected components, ordered by their lowest agent."""
-    comps: list[frozenset[int]] = []
-    for a in h.agents:
-        if not any(a in c for c in comps):
-            comps.append(frozenset(reach(h, a)))
-    return comps
-
-
 def is_connected(h: Hypergraph) -> bool:
     """True iff every pair of agents is linked by a hyperpath.
 
@@ -205,15 +196,15 @@ def is_spanning_epr_tree(h: Hypergraph) -> bool:
     return epr_tree_table(h) is not None
 
 
-def require_tree_pair(t1: Hypergraph, t2: Hypergraph) -> TreeTable:
-    """t1's `epr_tree_table`; InputError unless t1 and t2 are spanning EPR
-    trees over one agent set."""
-    table = epr_tree_table(t1)
-    if table is None or not is_spanning_epr_tree(t2):
+def require_tree_pair(t1: Hypergraph, t2: Hypergraph) -> tuple[TreeTable, TreeTable]:
+    """The `epr_tree_table`s of t1 and t2, the one check of a spanning-tree
+    pair: InputError unless both are spanning EPR trees over one agent set."""
+    s1, s2 = epr_tree_table(t1), epr_tree_table(t2)
+    if s1 is None or s2 is None:
         raise InputError("both inputs must be spanning EPR trees")
     if t1.agents != t2.agents:
         raise InputError("trees must span the same agents")
-    return table
+    return s1, s2
 
 
 def is_entangled_hypertree(h: Hypergraph) -> bool:

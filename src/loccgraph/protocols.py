@@ -140,7 +140,7 @@ def replay_trace(trace: ProtocolTrace) -> Hypergraph:
     state does not match."""
     end = make_trace(trace.start, trace.moves).end
     if end != trace.end:
-        raise IllegalMove("trace end state does not match replay")
+        raise IllegalMove("trace end state does not replay")
     return end
 
 
@@ -206,7 +206,7 @@ def trees_copies_to_tree(t1: Hypergraph, t2: Hypergraph) -> ProtocolTrace:
     copy manufactures one missing edge of t2 by swapping along the t1 path
     between its endpoints, then discards its leftovers.
     """
-    table = require_tree_pair(t1, t2)
+    table, _ = require_tree_pair(t1, t2)
     # tree edges are sorted and distinct, so filters keep them in order
     discards = dict(zip(t1.edges, map(Discard, t1.edges)))
     missing = [e for e in t2.edges if e not in discards]

@@ -23,12 +23,13 @@ from .hypergraph import (
     Hypergraph,
     TreeTable,
     cat_state,
-    components,
     copies,
     epr_pair,
     epr_tree_table,
     pendant_vertices,
     path_tree,
+    reach,
+    require_tree_pair,
     tree_table,
     uniformity,
 )
@@ -64,11 +65,10 @@ def witness_disconnected_vs_cat(g: Hypergraph) -> BlockingWitness:
     Coloring one connected component A and the rest B cuts none of g's
     edges but always cuts the CAT: cuts (0, 1).
     """
-    comps = components(g)
-    if len(comps) < 2:
+    first = frozenset(reach(g, g.agents[0]))
+    if len(first) == g.n:
         raise InputError("graph is connected; no component split exists")
-    coloring = Bicoloring(g.agents, comps[0])
-    return make_witness(g, cat_state(g.n), coloring)
+    return make_witness(g, cat_state(g.n), Bicoloring(g.agents, first))
 
 
 def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, BlockingWitness]:
@@ -82,8 +82,8 @@ def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, Blockin
     """
     if len(g.edges) < 2:
         raise InputError("need at least two EPR pairs")
-    comps = components(g)
-    if len(comps) < 2:
+    first = frozenset(reach(g, g.agents[0]))
+    if len(first) == g.n:
         raise InputError("graph is connected")
     distinct = sorted(set(g.edges))
     if len(distinct) == 1:
@@ -97,7 +97,7 @@ def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, Blockin
             a_side = frozenset({e1[1], e2[1]})
     cat = cat_state(g.n)
     forward = make_witness(cat, g, Bicoloring(g.agents, a_side))
-    return forward, make_witness(g, cat, Bicoloring(g.agents, comps[0]))
+    return forward, make_witness(g, cat, Bicoloring(g.agents, first))
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +185,14 @@ class TreeSplit:
 
 
 def split_trees(s1: TreeTable, s2: TreeTable) -> tuple[TreeSplit, BlockingWitness]:
-    """The t1 -/-> t2 tree split, from the tables of t1 and t2.
+    """The t1 -/-> t2 tree split, from the tables of t1 and t2, two spanning
+    EPR trees over one agent set (the callers check that).
 
     Cutting t1 at the first edge of the i..j path leaves exactly one
     bichromatic t1 edge, while t2 keeps the pivot plus at least one more
     edge across the split: cuts (1, >= 2).
     """
     t1, t2 = s1.tree, s2.tree
-    if t1.agents != t2.agents:
-        raise InputError("trees must span the same agents")
     # the pivot: the least t2 edge missing from t1
     bit, parent = s1.bit, s1.parent
     for pivot in t2.edges:
@@ -226,10 +225,7 @@ def witness_distinct_spanning_trees(t1: Hypergraph, t2: Hypergraph,
     """Any two distinct spanning trees are LOCC-incomparable; this builds
     the t1 -/-> t2 direction (swap arguments for the reverse) with
     `split_trees`."""
-    s1, s2 = epr_tree_table(t1), epr_tree_table(t2)
-    if s1 is None or s2 is None:
-        raise InputError("both inputs must be spanning EPR trees")
-    return split_trees(s1, s2)
+    return split_trees(*require_tree_pair(t1, t2))
 
 
 # ---------------------------------------------------------------------------

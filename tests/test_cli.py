@@ -226,10 +226,14 @@ def test_enumerate_hypertrees(capsys):
         assert all(len(e) == 3 for e in h.edges)
 
 
-@pytest.mark.parametrize("count", ["0", "-2"])
-def test_enumerate_hypertrees_rejects_a_count_below_one(capsys, count):
+@pytest.mark.parametrize("kind,count", [
+    pytest.param("hypertrees", "0", id="0"),
+    pytest.param("hypertrees", "-2", id="-2"),
+    pytest.param("trees", "0", id="trees-0"),  # rejected although trees read no count
+])
+def test_enumerate_hypertrees_rejects_a_count_below_one(capsys, kind, count):
     # a count below one would print nothing and still exit 0
-    assert main(["enumerate", "hypertrees", "--n", "7", "--count", count]) == EXIT_INPUT
+    assert main(["enumerate", kind, "--n", "7", "--count", count]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --count must be at least 1, got {count}\n"
@@ -686,6 +690,9 @@ def test_options_a_subcommand_does_not_read_are_rejected(capsys, argv):
     pytest.param(["--r-list"], "--r-list needs at least one value", id="empty-r-list"),
     pytest.param(["--sample-count", "0"], "--sample-count must be at least 1",
                  id="sample-count-0"),
+    # the bounds checked for every command come before the command's own checks
+    pytest.param(["--n-max", "9", "--sample-count", "0"], "--sample-count must be at least 1",
+                 id="sample-count-before-n-max"),
     pytest.param(["--n-max", "2"], "--n-max must lie in 3..7, got 2", id="n-max-2"),
     # rejected before the 141M tree pairs at n = 7 are checked
     pytest.param(["--n-max", "8"], "--n-max must lie in 3..7, got 8", id="n-max-8"),

@@ -360,5 +360,4 @@ def test_trusted_states_match_the_setattr_oracle(pair, k, seed):
             setattr(last, name, ())
     hypergraph.reach(last, last.agents[0])
     hypergraph.tree_table(last)
-    hypergraph.components(last)
     assert vars(last).keys() == {"agents", "edges"}

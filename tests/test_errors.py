@@ -21,6 +21,7 @@ import loccgraph
 from loccgraph import (
     Bicoloring,
     cat_state,
+    epr_pair,
     errors,
     path_tree,
     random_r_uniform_hypertree,
@@ -129,13 +130,17 @@ def test_errors_module_defines_the_taxonomy():
     (lambda: Bicoloring((1, 2, 3), {4}), "A-side contains unknown agents"),
     (lambda: make_witness(path_tree(3), path_tree(4), Bicoloring((1, 2, 3), {1})),
      "share no common agent set"),
+    # a coloring over other agents than the states' would name agents outside them
+    (lambda: make_witness(epr_pair(3, 1, 2), cat_state(3),
+                          Bicoloring((1, 2, 3, 4, 5), frozenset({3, 4}))),
+     r"coloring over \(1, 2, 3, 4, 5\) does not color the states' agents"),
     (lambda: reachability_search(path_tree(3), star_tree(4)), "share one agent set"),
     (lambda: witness_pendant_condition(path_tree(4), star_tree(5)), "share one agent set"),
     (lambda: witness_r_uniform_hypertrees(random_r_uniform_hypertree(5, 3, 0),
                                           random_r_uniform_hypertree(7, 3, 0)),
      "share one agent set"),
     (lambda: structural_witness(cat_state(3), cat_state(4)), "share one agent set"),
-], ids=["bicoloring", "make_witness", "reachability_search", "witness_pendant_condition",
+], ids=["bicoloring", "make_witness", "make_witness-coloring", "reachability_search", "witness_pendant_condition",
         "witness_r_uniform_hypertrees", "structural_witness"])
 def test_states_over_different_agents_raise_input_error(call, message):
     with pytest.raises(errors.InputError, match=message):

@@ -13,12 +13,15 @@ skips e, and its `path(a, b)` is the breadth-first hyperpath.
 
 from collections import deque
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from loccgraph import Hypergraph, is_connected, is_entangled_hypertree
 from loccgraph.enumeration import random_r_uniform_hypertree, random_spanning_tree
-from loccgraph.hypergraph import components, reach, tree_table
-from loccgraph.witnesses import _proper_two_coloring
+from loccgraph.errors import InputError
+from loccgraph.hypergraph import reach, tree_table
+from loccgraph.witnesses import (_proper_two_coloring, witness_cat_vs_disconnected,
+                                 witness_disconnected_vs_cat)
 
 from walk_oracles import incidence, oracle_hyperpath, oracle_reach
 
@@ -158,8 +161,16 @@ any_structure = st.one_of(hypergraphs(), trees, hypertrees())
 @settings(max_examples=300, deadline=None)
 @given(any_structure)
 def test_connectivity_and_components_match_oracle(h):
+    # the component witnesses color A the component of the lowest agent
     assert is_connected(h) == oracle_is_connected(h)
-    assert components(h) == oracle_components(h)
+    comps = oracle_components(h)
+    if len(comps) == 1:
+        with pytest.raises(InputError, match="^graph is connected; no component split exists$"):
+            witness_disconnected_vs_cat(h)
+        return
+    assert witness_disconnected_vs_cat(h).coloring.a_side == comps[0]
+    if len(h.edges) >= 2 and all(len(e) == 2 for e in h.edges):  # an EPR graph
+        assert witness_cat_vs_disconnected(h)[1].coloring.a_side == comps[0]
 
 
 def agents_in(h, mask):
