@@ -24,12 +24,8 @@ from .hypergraph import Hypergraph, format_hypergraph, parse_hypergraph
 from .merging import DEFAULT_COLOR_BOUND, Bicoloring, find_blocking_witness
 from .protocols import (
     DEFAULT_SEARCH_BUDGET,
-    CatExpand,
-    Discard,
     LoccMove,
-    MeasureOut,
     ProtocolTrace,
-    Swap,
     reachability_search,
     replay_trace,
 )
@@ -114,23 +110,20 @@ def dumps(obj) -> str:
     return text(obj, "\n")
 
 
-MOVE_FIELDS = {cls: tuple(f.name for f in fields(cls))
-               for cls in (Discard, MeasureOut, Swap, CatExpand)}
+MOVE_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in LoccMove.__args__}
 MOVE_KINDS = {cls.kind: cls for cls in MOVE_FIELDS}
 DICT_FORMS = frozenset([*MOVE_FIELDS, Hypergraph, ProtocolTrace])  # `dumps` writes their forms in place
 
 
 def to_json(value):
-    """The JSON form of a package value: a state, a move, a trace or a
-    coloring.  The form may hold tuples and other package values, which
-    `dumps` writes in turn.  A move's keys are its kind and then its fields,
-    in `MOVE_FIELDS` order."""
+    """The JSON form of a package value, read off the value: a state or a
+    trace is a new dict of its own fields, a move the same with its kind
+    first, and a coloring its bits.  The form may hold tuples and other
+    package values, which `dumps` writes in turn."""
     if type(value) in MOVE_FIELDS:
         return {"kind": value.kind, **vars(value)}
-    if isinstance(value, Hypergraph):
-        return {"agents": value.agents, "edges": value.edges}
-    if isinstance(value, ProtocolTrace):
-        return {"start": value.start, "moves": value.moves, "end": value.end}
+    if type(value) in DICT_FORMS:
+        return dict(vars(value))
     if isinstance(value, Bicoloring):
         return value.bits()
     require(False, f"a report value has no JSON form: {value!r}")

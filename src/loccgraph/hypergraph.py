@@ -7,20 +7,18 @@ edge multiset may contain repeats: k copies of the same shared state are k
 equal hyperedges.
 
 Everything here is an immutable value: a state is its agents and its edges,
-and nothing is written to it after construction.  All operations are pure
-functions but `Hypergraph.edit`, which edits the caller's own edge list in
-place and trusts its edges.  `tree_table` is the one hypertree test: its
-table answers a hypertree's cuts and hyperpaths from one walk.
+and nothing is written to it after construction.  Every operation is a pure
+function.  `tree_table` is the one hypertree test: its table answers a
+hypertree's cuts and hyperpaths from one walk.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import IllegalMove, InputError
+from .errors import InputError
 
 Edge = tuple[int, ...]
 
@@ -77,35 +75,9 @@ class Hypergraph:
         """Number of hyperedge instances containing the agent."""
         return sum(1 for e in self.edges if agent in e)
 
-    @staticmethod
-    def edit(pool: list[Edge], remove, add) -> int:
-        """Swap one instance of each `remove` edge in `pool`, a sorted edge
-        list, for the `add` edges; the change in size_total.  IllegalMove if
-        a removed edge is absent.  It sorts and validates nothing.  That is
-        sound for `protocols._operands`, which hands it sorted edges: the
-        removals come first, and each edge it adds is built from members of
-        the edges just found (a measure-out drops one member of an edge of
-        size >= 3, a swap keeps the unshared ends of two pairs that share one
-        agent, a cat expansion adds the pair's outside end), so it has two or
-        more distinct agents of the state."""
-        change = 0
-        for e in remove:
-            try:
-                i = bisect_left(pool, e)
-            except TypeError:  # labels that do not compare with the state's
-                i = len(pool)
-            if i == len(pool) or pool[i] != e:
-                raise IllegalMove(f"hyperedge {e} is not in the state")
-            del pool[i]
-            change -= len(e)
-        for e in add:
-            insort(pool, e)
-            change += len(e)
-        return change
-
     def edited(self, pool: list[Edge]) -> "Hypergraph":
         """The state whose edges are `pool`, a copy of this state's changed
-        only by `edit`."""
+        only by `protocols._edit`."""
         return _trusted(self.agents, tuple(pool))
 
 

@@ -18,6 +18,7 @@ terminate.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Union
@@ -67,16 +68,16 @@ LoccMove = Union[Discard, MeasureOut, Swap, CatExpand]
 
 
 def apply_move(state: Hypergraph, move: LoccMove) -> Hypergraph:
-    """The rewritten state, by `edit` on a copy of its edges; the agent set
+    """The rewritten state, by `_edit` on a copy of its edges; the agent set
     never changes.  Raises IllegalMove with the violated precondition."""
     pool = list(state.edges)
-    Hypergraph.edit(pool, *_operands(move))
+    _edit(pool, *_operands(move))
     return state.edited(pool)
 
 
 def _operands(move: LoccMove) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     """The sorted edges the move removes and adds, once its own preconditions
-    hold, else IllegalMove naming the one it breaks; `edit` trusts them."""
+    hold, else IllegalMove naming the one it breaks; `_edit` trusts them."""
     if isinstance(move, Discard):
         return (tuple(sorted(move.edge)),), ()
     if isinstance(move, MeasureOut):
@@ -111,6 +112,29 @@ def _operands(move: LoccMove) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
     raise IllegalMove(f"unknown move {move!r}")
 
 
+def _edit(pool: list[Edge], remove, add) -> int:
+    """Swap one instance of each `remove` edge in `pool`, a sorted edge
+    list, for the `add` edges; the change in size_total.  IllegalMove if a
+    removed edge is absent.  It sorts and validates nothing, which is sound
+    for what `_operands` hands it: the removals come first, and each added
+    edge is built from members of the edges just found, so it has two or
+    more distinct agents of the state."""
+    change = 0
+    for e in remove:
+        try:
+            i = bisect_left(pool, e)
+        except TypeError:  # labels that do not compare with the state's
+            i = len(pool)
+        if i == len(pool) or pool[i] != e:
+            raise IllegalMove(f"hyperedge {e} is not in the state")
+        del pool[i]
+        change -= len(e)
+    for e in add:
+        insort(pool, e)
+        change += len(e)
+    return change
+
+
 @dataclass(frozen=True)
 class ProtocolTrace:
     """Replayable evidence that `end` is LOCC-reachable from `start`."""
@@ -122,11 +146,11 @@ class ProtocolTrace:
 
 def make_trace(start: Hypergraph, moves) -> ProtocolTrace:
     """Build a trace by replaying the moves, checking every precondition
-    and the strict decrease of the size potential.  The moves `edit` one
-    copy of the start's edge list, and only the end state is built."""
+    and the strict decrease of the size potential.  Each move edits one
+    copy of the start's edge list through `_edit`; only the end is built."""
     moves = tuple(moves)
     pool = list(start.edges)
-    edit, operands = Hypergraph.edit, _operands
+    edit, operands = _edit, _operands
     for move in moves:
         remove, add = operands(move)
         if edit(pool, remove, add) >= 0:

@@ -82,6 +82,8 @@ def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, Blockin
     """
     if len(g.edges) < 2:
         raise InputError("need at least two EPR pairs")
+    if any(len(e) != 2 for e in g.edges):
+        raise InputError("every hyperedge must be an EPR pair")
     first = frozenset(reach(g, g.agents[0]))
     if len(first) == g.n:
         raise InputError("graph is connected")

@@ -93,6 +93,21 @@ def test_every_move_kind_is_written_with_its_fields_in_order(moves):
         assert list(to_json(m)) == ["kind", *MOVE_FIELDS[type(m)]]
 
 
+@settings(max_examples=100, deadline=None)
+@given(states(), st.integers(2, 7), st.integers(0, 10 ** 6))
+def test_a_state_or_a_trace_form_is_a_new_dict_of_its_fields_in_order(state, n, seed):
+    trace = cat_copies_to_tree(random_spanning_tree(n, seed))
+    for value, names in ((state, ("agents", "edges")), (trace, ("start", "moves", "end"))):
+        fields = [(name, getattr(value, name)) for name in names]
+        form = to_json(value)
+        assert list(form.items()) == fields
+        # the form is a copy: changing it leaves the value's own fields alone
+        form[names[0]] = None
+        del form[names[-1]]
+        form["extra"] = 1
+        assert list(vars(value).items()) == fields
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(3, 8), st.integers(0, 10 ** 6))
 def test_constructed_traces_are_written_as_before(n, seed):

@@ -65,7 +65,7 @@ def test_discard_removes_one_instance():
 
 
 def test_a_move_may_name_its_edges_in_any_member_order():
-    # `_operands` sorts what it removes and adds, for `edit`, which trusts
+    # `_operands` sorts what it removes and adds, for `_edit`, which trusts
     # it; the set {3, 8} iterates as (8, 3)
     state = H(8, (3, 5), (5, 8), (4, 6), (1, 2, 4))
     for move, expected in [

@@ -8,9 +8,9 @@ re-validated and re-sorted all k·|E| edges through the public constructor.
 Later `make_trace` built a new state per move through `apply_move`, and the
 copies protocol re-sorted set differences for every copy, sorted each swap's
 operands and found each t1 path by a breadth-first search
-(`walk_oracles.oracle_hyperpath`).  Until `Hypergraph.edit` trusted the
-edges `_operands` hands it, it sorted every removed edge again and
-validated every added one (`oracle_edit`).
+(`walk_oracles.oracle_hyperpath`).  Until the edit, now `protocols._edit`,
+trusted the edges `_operands` hands it, it sorted every removed edge again
+and validated every added one (`oracle_edit`).
 """
 
 import dataclasses
@@ -81,7 +81,7 @@ def oracle_copies(h, k):
 
 def oracle_make_trace(start, moves):
     """The old trace builder: every move's operands applied to a new state
-    by the list-remove `oracle_replace`, never through `Hypergraph.edit`."""
+    by the list-remove `oracle_replace`, never through `protocols._edit`."""
     state = start
     for move in moves:
         nxt = oracle_replace(state, *protocols._operands(move))
@@ -328,11 +328,11 @@ def test_copies_match_validated_construction(h, k):
 
 
 # ---------------------------------------------------------------------------
-# trusted edits: `_operands` checks a move once, and `edit` trusts its edges
+# trusted edits: `_operands` checks a move once, and `_edit` trusts its edges
 # ---------------------------------------------------------------------------
 
 def oracle_edit(self, pool, remove=(), add=()):
-    """`Hypergraph.edit` before it trusted its edges: it sorted every removed
+    """`protocols._edit` before it trusted its edges: it sorted every removed
     edge again and validated every added edge against the state's agents."""
     change = 0
     for edge in remove:

@@ -114,6 +114,10 @@ def test_cat_vs_disconnected_shared_vertex():
 def test_cat_vs_disconnected_preconditions():
     with pytest.raises(InputError, match="need at least two EPR pairs"):
         witness_cat_vs_disconnected(H(3, (1, 2)))
+    # the forward coloring cuts every edge of g only when each is a pair
+    for g in (H(4, (1, 2), (1, 2, 3)), H(5, (1, 2, 3), (4, 5)), H(4, (1, 2, 3), (1, 2, 3, 4))):
+        with pytest.raises(InputError, match="^every hyperedge must be an EPR pair$"):
+            witness_cat_vs_disconnected(g)
     with pytest.raises(InputError, match="^graph is connected$"):
         witness_cat_vs_disconnected(path_tree(3))
 
