@@ -44,23 +44,22 @@ class Hypergraph:
         agents = tuple(sorted(self.agents))
         if not agents:
             raise InputError("agent set must be nonempty")
-        if len(set(agents)) != len(agents):
-            raise InputError("agent labels must be unique")
         known = set(agents)
+        if len(known) != len(agents):
+            raise InputError("agent labels must be unique")
+        edges = []
+        for edge in self.edges:
+            e = tuple(sorted(edge))
+            if len(e) < 2:
+                raise InputError(f"hyperedge {e} has fewer than two members")
+            if len(set(e)) != len(e):
+                raise InputError(f"hyperedge {tuple(edge)} repeats a member")
+            if not known.issuperset(e):
+                raise InputError(f"hyperedge {e} uses agents outside {agents}")
+            edges.append(e)
+        edges.sort()
         object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "edges",
-                           tuple(sorted(self._canonical(e, known) for e in self.edges)))
-
-    def _canonical(self, edge, known) -> Edge:
-        """The edge sorted, once it is checked against the agent set."""
-        e = tuple(sorted(edge))
-        if len(e) < 2:
-            raise InputError(f"hyperedge {e} has fewer than two members")
-        if len(set(e)) != len(e):
-            raise InputError(f"hyperedge {tuple(edge)} repeats a member")
-        if not known.issuperset(e):
-            raise InputError(f"hyperedge {e} uses agents outside {self.agents}")
-        return e
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def n(self) -> int:
@@ -248,8 +247,11 @@ def tree_table(h: Hypergraph) -> TreeTable | None:
 
 def epr_tree_table(h: Hypergraph) -> TreeTable | None:
     """The `tree_table` of h, the one test of `is_spanning_epr_tree`, with
-    its table; None unless h is a spanning EPR tree."""
-    return tree_table(h) if all(len(e) == 2 for e in h.edges) else None
+    its table; None unless h is a spanning EPR tree.  Counting edges is
+    enough to ask for pairs: every edge has at least two members, and a
+    hypertree with E edges has total size n + E - 1, so with E = n - 1
+    that size is 2E and every edge is a pair."""
+    return tree_table(h) if len(h.edges) == h.n - 1 else None
 
 
 def uniformity(h: Hypergraph) -> int | None:

@@ -84,8 +84,11 @@ class BlockingWitness:
 
 def bcm_cut(h: Hypergraph, coloring: Bicoloring) -> int:
     """Number of bichromatic hyperedges, counted with multiplicity."""
-    a = coloring.a_side
-    return sum(not a.isdisjoint(e) and not a.issuperset(e) for e in h.edges)
+    a, cut = coloring.a_side, 0
+    for e in h.edges:
+        if not a.isdisjoint(e) and not a.issuperset(e):
+            cut += 1
+    return cut
 
 
 def _check_bound(agents, bound: int) -> None:

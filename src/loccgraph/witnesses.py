@@ -310,9 +310,9 @@ def _separating_pair(h1: Hypergraph, h2: Hypergraph) -> SeparatingPair:
     if len(h1.edges[0]) < 3:
         raise InputError("r = 2 is the spanning-tree case; use the tree split")
     common = set(h1.edges) & set(h2.edges)
-    e2 = sorted(set(h2.edges) - common)[0]
+    e2 = min(set(h2.edges) - common)
     w = e2[0]
-    e1 = sorted(e for e in set(h1.edges) if w in e)[0]
+    e1 = min(e for e in h1.edges if w in e)
     overlap = sorted(set(e1) & set(e2))
     outside = sorted(set(e2) - set(e1))
     require(bool(overlap) and bool(outside), "the least new h2 edge meets and leaves e1")

@@ -25,6 +25,7 @@ from loccgraph import (
 from loccgraph.cli import main
 from loccgraph.enumeration import random_r_uniform_hypertree, random_spanning_tree
 from loccgraph.errors import IllegalMove, InputError
+from loccgraph.hypergraph import epr_tree_table, tree_table
 
 
 def H(n, *edges):
@@ -251,9 +252,17 @@ def tree_like_states(draw):
 @example(H(4, (1, 2), (2, 3)))                # an isolated agent
 @example(H(4, (1, 2), (2, 3, 4)))             # mixed sizes, a hypertree
 @example(H(4, (1, 2), (1, 2), (3, 4)))        # n - 1 pairs, not a tree
+@example(H(3, (1, 2), (1, 2, 3)))             # n - 1 edges holding a CAT
+@example(H(4, (1, 2), (2, 3, 4), (1, 2)))
+@example(H(5, (1, 2), (2, 3), (3, 4, 5), (4, 5)))
 def test_tree_predicates_match_their_former_bodies(h):
     assert is_spanning_epr_tree(h) == oracle_is_spanning_epr_tree(h)
     assert is_entangled_hypertree(h) == oracle_is_entangled_hypertree(h)
+    # the edge-count gate gives what the gate that scanned for pairs gave
+    pairs = tree_table(h) if all(len(e) == 2 for e in h.edges) else None
+    assert epr_tree_table(h) == pairs
+    if len(h.edges) == h.n - 1 and any(len(e) > 2 for e in h.edges):
+        assert pairs is None
 
 
 # ---------------------------------------------------------------------------

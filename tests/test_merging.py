@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loccgraph import (
     Bicoloring,
@@ -18,6 +18,7 @@ from loccgraph import (
 )
 from loccgraph.enumeration import random_spanning_tree
 from loccgraph.errors import BoundExceeded, InputError
+from loccgraph.merging import make_witness
 
 from coloring_order import iter_bicolorings
 
@@ -127,11 +128,63 @@ def test_color_swap_symmetry(seed, mask):
     assert bcm_cut(t, c) == bcm_cut(t, flipped)
 
 
-@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(0, 2 ** 6 - 1))
-def test_copy_linearity(seed, k, mask):
-    t = random_spanning_tree(6, seed)
-    c = Bicoloring(t.agents, frozenset(a for i, a in enumerate(t.agents) if mask >> i & 1))
-    assert bcm_cut(copies(t, k), c) == k * bcm_cut(t, c)
+def oracle_bcm_cut(h, coloring):
+    """`bcm_cut` as it was: a sum over a generator of the edges."""
+    a = coloring.a_side
+    return sum(not a.isdisjoint(e) and not a.issuperset(e) for e in h.edges)
+
+
+def every_coloring(agents):
+    """All 2^n colorings of the agents, the first agent on either side."""
+    return [Bicoloring(agents, frozenset(a for i, a in enumerate(agents) if mask >> i & 1))
+            for mask in range(1 << len(agents))]
+
+
+@st.composite
+def cut_states(draw, n=None):
+    """A spanning tree, or a state whose hyperedges, CATs among them, come
+    from a small pool and repeat often; on n agents, else on 1-6."""
+    if n is None:
+        n = draw(st.integers(1, 6))
+    if n < 2:
+        return H(n)
+    if draw(st.booleans()):
+        return random_spanning_tree(n, draw(st.integers(0, 10 ** 6)))
+    edge = st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True).map(tuple)
+    pool = draw(st.lists(edge, min_size=1, max_size=4))
+    return H(n, *draw(st.lists(st.sampled_from(pool), max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_states())
+def test_the_cut_loop_matches_the_generator_sum(h):
+    for c in every_coloring(h.agents):
+        assert bcm_cut(h, c) == oracle_bcm_cut(h, c)
+
+
+@given(cut_states(), st.integers(1, 4))
+def test_copy_linearity(h, k):
+    many = copies(h, k)
+    for c in every_coloring(h.agents):
+        assert bcm_cut(many, c) == k * bcm_cut(h, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(cut_states(n), cut_states(n))),
+       st.integers(1, 4))
+def test_a_witness_blocks_k_copies_exactly_when_k_copies_cut_less(pair, k):
+    # cuts (s, t) for A -> B block k x A -> B iff k s < t, and then more than
+    # k copies of A are needed
+    a, b = pair
+    bound = min_copies_lower_bound(a, b)
+    for c in every_coloring(a.agents):
+        s, t = bcm_cut(a, c), bcm_cut(b, c)
+        if k * s < t:
+            assert make_witness(copies(a, k), b, c).source_cut == k * s
+            assert bound > k
+        else:
+            with pytest.raises(InputError, match="not a witness"):
+                make_witness(copies(a, k), b, c)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(5, 9))

@@ -10,7 +10,9 @@ copies protocol re-sorted set differences for every copy, sorted each swap's
 operands and found each t1 path by a breadth-first search
 (`walk_oracles.oracle_hyperpath`).  Until the edit, now `protocols._edit`,
 trusted the edges `_operands` hands it, it sorted every removed edge again
-and validated every added one (`oracle_edit`).
+and validated every added one (`oracle_edit`).  Until the constructor
+checked every edge in one loop, it called a per-edge method from a
+generator (`oracle_canonical`, `oracle_construct`).
 """
 
 import dataclasses
@@ -56,6 +58,34 @@ def oracle_size_total(h):
     return sum(len(e) for e in h.edges)
 
 
+def oracle_canonical(h, edge, known):
+    """The constructor's per-edge check before it checked every edge in one
+    loop: the edge sorted, once it is checked against the agent set."""
+    e = tuple(sorted(edge))
+    if len(e) < 2:
+        raise InputError(f"hyperedge {e} has fewer than two members")
+    if len(set(e)) != len(e):
+        raise InputError(f"hyperedge {tuple(edge)} repeats a member")
+    if not known.issuperset(e):
+        raise InputError(f"hyperedge {e} uses agents outside {h.agents}")
+    return e
+
+
+def oracle_construct(agents, edges):
+    """The validating constructor before it checked every edge in one loop:
+    `oracle_canonical` once per edge, inside a generator."""
+    agents = tuple(sorted(agents))
+    if not agents:
+        raise InputError("agent set must be nonempty")
+    if len(set(agents)) != len(agents):
+        raise InputError("agent labels must be unique")
+    h = object.__new__(Hypergraph)
+    object.__setattr__(h, "agents", agents)
+    known = set(agents)
+    object.__setattr__(h, "edges", tuple(sorted(oracle_canonical(h, e, known) for e in edges)))
+    return h
+
+
 def oracle_replace(self, remove=(), add=()):
     pool = list(self.edges)
     for edge in remove:
@@ -66,7 +96,7 @@ def oracle_replace(self, remove=(), add=()):
             raise IllegalMove(f"hyperedge {e} is not in the state") from None
     known = set(self.agents)
     for edge in add:
-        insort(pool, self._canonical(edge, known))
+        insort(pool, oracle_canonical(self, edge, known))
     h = object.__new__(Hypergraph)
     object.__setattr__(h, "agents", self.agents)
     object.__setattr__(h, "edges", tuple(pool))
@@ -161,6 +191,39 @@ def _walk(state, rng, length):
         moves.append(rng.choice(options))
         state = apply_move(state, moves[-1])
     return moves
+
+
+# ---------------------------------------------------------------------------
+# the validating constructor
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=6), st.sampled_from([tuple, list]), st.data())
+def test_the_constructor_matches_the_per_edge_oracle(agents, form, data):
+    # agents empty or repeated, edges of 0-5 members in any order, with
+    # repeats and foreign agents: the same state, or the same error text
+    label = st.integers(-1, 8)
+    if agents:
+        label = st.sampled_from(agents) | label
+    edges = [form(e) for e in data.draw(st.lists(st.lists(label, max_size=5), max_size=6))]
+    got = _outcome(Hypergraph, form(agents), edges)
+    assert got == _outcome(oracle_construct, form(agents), edges)
+    if isinstance(got, Hypergraph):
+        assert vars(got) == vars(oracle_construct(agents, edges))
+        assert all(type(e) is tuple for e in got.edges)
+
+
+@pytest.mark.parametrize("agents, edges, message", [
+    ((), (), "agent set must be nonempty"),
+    ((2, 1, 2), ((1, 5),), "agent labels must be unique"),
+    ((3, 1, 2), ((2, 1), (1, 4), (1,)), "hyperedge (1, 4) uses agents outside (1, 2, 3)"),
+    ((1, 2, 3), ((3, 1), (2, 1, 2), (5,)), "hyperedge (2, 1, 2) repeats a member"),
+    ((1, 2, 3), ((1,), (1, 1), (1, 9)), "hyperedge (1,) has fewer than two members"),
+    ((1, 2, 3), ([9, 1, 1], [2]), "hyperedge (9, 1, 1) repeats a member"),
+])
+def test_the_first_bad_edge_wins_after_the_agent_checks(agents, edges, message):
+    assert _outcome(Hypergraph, agents, edges) == _outcome(oracle_construct, agents, edges) \
+        == (InputError, message)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +411,7 @@ def oracle_edit(self, pool, remove=(), add=()):
     if add:
         known = set(self.agents)
         for edge in add:
-            insort(pool, e := self._canonical(edge, known))
+            insort(pool, e := oracle_canonical(self, edge, known))
             change += len(e)
     return change
 
@@ -452,12 +515,12 @@ def test_a_legal_move_validates_no_edge():
     # constructor still does
     t1, t2, source, target, h = path_tree(9), star_tree(9), star_tree(5), cat_state(5), \
         path_tree(3)
-    with mock.patch.object(Hypergraph, "_canonical", autospec=True,
-                           side_effect=Hypergraph._canonical) as canonical, \
+    with mock.patch.object(Hypergraph, "__post_init__", autospec=True,
+                           side_effect=Hypergraph.__post_init__) as validated, \
             mock.patch.object(protocols, "apply_move", wraps=protocols.apply_move) as applied:
         trace = trees_copies_to_tree(t1, t2)
         found = reachability_search(source, target)
-        assert canonical.call_count == 0
+        assert validated.call_count == 0
         Hypergraph(h.agents, ((1, 3),))
     assert len(trace.moves) > 1 and found is not None and applied.call_count > 1
-    assert canonical.call_count == 1
+    assert validated.call_count == 1

@@ -433,8 +433,8 @@ def test_r_uniform_seeded_sweep():
 
 def oracle_separating_pair(h1, h2):
     """`find_separating_pair` as it was, when its third branch grouped the
-    outside vertices by their h1 edge through u1; also the branch that
-    answered (1, 2 or 3)."""
+    outside vertices by their h1 edge through u1 and each least edge was
+    the first of a sorted list; also the branch that answered (1, 2 or 3)."""
     def co_edge(h, a, b):
         return any(a in e and b in e for e in h.edges)
 
