@@ -245,8 +245,6 @@ def _judge_direction(source: Hypergraph, target: Hypergraph, names: tuple[str, s
 def cmd_check(args) -> int:
     (source, source_input), (target, target_input) = map(_read_input,
                                                          (args.source, args.target))
-    if source.agents != target.agents:
-        raise InputError("inputs do not share one agent set")
     report = {
         "tool": "loccgraph",
         "version": __version__,

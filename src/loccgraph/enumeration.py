@@ -56,8 +56,7 @@ def tree_classes(trees: Iterable[Hypergraph]) -> list[tuple[Hypergraph, int]]:
     centers): a rooted tree is '(' + its subtrees' sorted encodings + ')'."""
     classes: dict[str, list] = {}
     for t in trees:
-        if (table := epr_tree_table(t)) is None:
-            raise InputError("can only classify spanning EPR trees")
+        table = epr_tree_table(t)
         # the centers: the middle of a longest path, which starts at a farthest
         # agent, such as the last the validating walk discovered
         via = reach(t, next(reversed(table.depth)))

@@ -9,7 +9,8 @@ equal hyperedges.
 Everything here is an immutable value: a state is its agents and its edges,
 and nothing is written to it after construction.  Every operation is a pure
 function.  `tree_table` is the one hypertree test: its table answers a
-hypertree's cuts and hyperpaths from one walk.
+hypertree's cuts and hyperpaths from one walk.  Each precondition has one
+check and one message: `shared_agents` and `epr_tree_table`.
 """
 
 from __future__ import annotations
@@ -161,20 +162,31 @@ def is_connected(h: Hypergraph) -> bool:
     return len(reach(h, h.agents[0])) == h.n
 
 
+def shared_agents(first: Hypergraph, *rest: Hypergraph) -> tuple[int, ...]:
+    """The agents of every state given, the one check that states share one
+    agent set: InputError unless they do."""
+    agents = first.agents
+    for h in rest:
+        if h.agents != agents:
+            raise InputError("inputs do not share one agent set")
+    return agents
+
+
 def is_spanning_epr_tree(h: Hypergraph) -> bool:
     """True iff h is a 2-uniform entangled hypertree: connected, acyclic
     and multiplicity-free, with n - 1 EPR pairs."""
-    return epr_tree_table(h) is not None
+    try:
+        epr_tree_table(h)
+    except InputError:
+        return False
+    return True
 
 
 def require_tree_pair(t1: Hypergraph, t2: Hypergraph) -> tuple[TreeTable, TreeTable]:
     """The `epr_tree_table`s of t1 and t2, the one check of a spanning-tree
     pair: InputError unless both are spanning EPR trees over one agent set."""
     s1, s2 = epr_tree_table(t1), epr_tree_table(t2)
-    if s1 is None or s2 is None:
-        raise InputError("both inputs must be spanning EPR trees")
-    if t1.agents != t2.agents:
-        raise InputError("trees must span the same agents")
+    shared_agents(t1, t2)
     return s1, s2
 
 
@@ -245,13 +257,14 @@ def tree_table(h: Hypergraph) -> TreeTable | None:
     return TreeTable(h, bit, parent, edge, depth, below)
 
 
-def epr_tree_table(h: Hypergraph) -> TreeTable | None:
-    """The `tree_table` of h, the one test of `is_spanning_epr_tree`, with
-    its table; None unless h is a spanning EPR tree.  Counting edges is
-    enough to ask for pairs: every edge has at least two members, and a
-    hypertree with E edges has total size n + E - 1, so with E = n - 1
-    that size is 2E and every edge is a pair."""
-    return tree_table(h) if len(h.edges) == h.n - 1 else None
+def epr_tree_table(h: Hypergraph) -> TreeTable:
+    """The `tree_table` of h, the one check that h is a spanning EPR tree:
+    InputError unless it is.  Counting edges is enough to ask for pairs:
+    every edge has two members or more, and a hypertree with E edges has
+    total size n + E - 1, so with E = n - 1 that size is 2E: all are pairs."""
+    if len(h.edges) != h.n - 1 or (table := tree_table(h)) is None:
+        raise InputError("input is not a spanning EPR tree")
+    return table
 
 
 def uniformity(h: Hypergraph) -> int | None:

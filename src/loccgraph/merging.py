@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import chain, zip_longest
 
 from .errors import BoundExceeded, InputError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, shared_agents
 
 DEFAULT_COLOR_BOUND = 22
 
@@ -106,9 +106,7 @@ def _coloring(agents: tuple[int, ...], mask: int) -> Bicoloring:
 def make_witness(source: Hypergraph, target: Hypergraph,
                  coloring: Bicoloring) -> BlockingWitness:
     """Build a witness by recomputing both cuts; raises if it is not one."""
-    if source.agents != target.agents:
-        raise InputError("source and target share no common agent set")
-    if coloring.agents != source.agents:
+    if coloring.agents != shared_agents(source, target):
         raise InputError(f"coloring over {coloring.agents} does not color the states' agents")
     return BlockingWitness(
         coloring=coloring,
@@ -165,9 +163,7 @@ def cut_profiles(*states: Hypergraph,
     set within the coloring bound."""
     if not states:
         raise InputError("no state to profile")
-    agents = states[0].agents
-    if any(h.agents != agents for h in states[1:]):
-        raise InputError("source and target must share one agent set")
+    agents = shared_agents(*states)
     _check_bound(agents, color_bound)
     size = 1 << (len(agents) - 1)
     full = (1 << size) - 1

@@ -31,6 +31,7 @@ from .hypergraph import (
     copies,
     epr_tree_table,
     require_tree_pair,
+    shared_agents,
 )
 from .merging import cheap_cuts
 
@@ -182,8 +183,6 @@ def tree_to_cat(t: Hypergraph) -> ProtocolTrace:
     already is the 2-CAT and the trace is empty.
     """
     table = epr_tree_table(t)
-    if table is None:
-        raise InputError("input is not a spanning EPR tree")
     if t.n < 2:
         raise InputError("a CAT state needs at least two agents")
     order = list(table.edge)
@@ -215,8 +214,7 @@ def _measure_outs(cat: Edge, a: int, b: int) -> list[MeasureOut]:
 def cat_copies_to_tree(t: Hypergraph) -> ProtocolTrace:
     """Build a spanning tree from n-1 copies of the CAT over its agents,
     one copy per edge via the measure-out distillation."""
-    if epr_tree_table(t) is None:
-        raise InputError("target is not a spanning EPR tree")
+    epr_tree_table(t)
     if t.n < 2:
         raise InputError("a CAT state needs at least two agents")
     moves = [m for a, b in t.edges for m in _measure_outs(t.agents, a, b)]
@@ -295,8 +293,7 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
     trace, and it never hits the budget earlier than the unpruned search
     would.
     """
-    if source.agents != target.agents:
-        raise InputError("source and target must share one agent set")
+    shared_agents(source, target)
     if source == target:
         return make_trace(source, ())
     cut_below_target = cheap_cuts(target)

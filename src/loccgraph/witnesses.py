@@ -30,6 +30,7 @@ from .hypergraph import (
     path_tree,
     reach,
     require_tree_pair,
+    shared_agents,
     tree_table,
     uniformity,
 )
@@ -68,7 +69,7 @@ def witness_disconnected_vs_cat(g: Hypergraph) -> BlockingWitness:
     first = frozenset(reach(g, g.agents[0]))
     if len(first) == g.n:
         raise InputError("graph is connected; no component split exists")
-    return make_witness(g, cat_state(g.n), Bicoloring(g.agents, first))
+    return make_witness(g, Hypergraph(g.agents, (g.agents,)), Bicoloring(g.agents, first))
 
 
 def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, BlockingWitness]:
@@ -97,7 +98,7 @@ def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, Blockin
             a_side = frozenset(shared)
         else:
             a_side = frozenset({e1[1], e2[1]})
-    cat = cat_state(g.n)
+    cat = Hypergraph(g.agents, (g.agents,))
     forward = make_witness(cat, g, Bicoloring(g.agents, a_side))
     return forward, make_witness(g, cat, Bicoloring(g.agents, first))
 
@@ -158,8 +159,6 @@ def witness_cat_copies_vs_tree(t: Hypergraph) -> BlockingWitness:
     copy only once: cuts (n-2, n-1).
     """
     table = epr_tree_table(t)
-    if table is None:
-        raise InputError("target is not a spanning EPR tree")
     n = t.n
     if n < 3:
         raise InputError("need at least three agents")
@@ -243,8 +242,7 @@ def witness_pendant_condition(h1: Hypergraph, h2: Hypergraph,
     while the other side keeps one pair per hyperedge at u: cuts
     (1, degree >= 2).  Hypertree structure is not required.
     """
-    if h1.agents != h2.agents:
-        raise InputError("states must share one agent set")
+    shared_agents(h1, h2)
 
     def one_direction(src, dst):
         candidates = sorted(u for u in pendant_vertices(src) - pendant_vertices(dst)
@@ -277,8 +275,7 @@ def _hypertree_tables(h1: Hypergraph, h2: Hypergraph) -> tuple[int, TreeTable, T
     """The common r and the tables of two distinct r-uniform entangled
     hypertrees over one agent set, one walk each; raises InputError for any
     other pair."""
-    if h1.agents != h2.agents:
-        raise InputError("hypertrees must share one agent set")
+    shared_agents(h1, h2)
     s1, s2 = tree_table(h1), tree_table(h2)
     if s1 is None or s2 is None:
         raise InputError("input is not an entangled hypertree")
@@ -465,8 +462,7 @@ def structural_witness(source: Hypergraph, target: Hypergraph) -> BlockingWitnes
     the exhaustive scan: the side of `cheap_cuts` (a single agent or a
     component cut), else the witness of two distinct r-uniform
     hypertrees; None when neither applies."""
-    if source.agents != target.agents:
-        raise InputError("source and target must share one agent set")
+    shared_agents(source, target)
     side = cheap_cuts(target)(source)
     if side is not None:
         return make_witness(source, target, Bicoloring(source.agents, side))

@@ -153,6 +153,14 @@ def test_check_rejects_mismatched_inputs(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "distance", "protocol"])
+def test_mismatched_agent_sets_read_alike_in_every_subcommand(tmp_path, capsys, command):
+    a = write_state(tmp_path, "a.txt", format_hypergraph(path_tree(3)))
+    b = write_state(tmp_path, "b.txt", format_hypergraph(path_tree(4)))
+    assert main([command, a, b]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: inputs do not share one agent set\n"
+
+
 def test_distance_command(tmp_path, capsys):
     a = write_state(tmp_path, "a.txt", "agents: 3\ncat: 1 2\ncat: 1 3\n")
     b = write_state(tmp_path, "b.txt", "agents: 3\ncat: 1 3\ncat: 2 3\n")

@@ -44,7 +44,7 @@ from coloring_order import iter_bicolorings
 
 def oracle_witness(source, target, *, color_bound=DEFAULT_COLOR_BOUND):
     if source.agents != target.agents:
-        raise InputError("source and target must share one agent set")
+        raise InputError("inputs do not share one agent set")
     for coloring in iter_bicolorings(source.agents, bound=color_bound):
         s = bcm_cut(source, coloring)
         t = bcm_cut(target, coloring)
@@ -55,7 +55,7 @@ def oracle_witness(source, target, *, color_bound=DEFAULT_COLOR_BOUND):
 
 def oracle_min_copies(source, target, *, color_bound=DEFAULT_COLOR_BOUND):
     if source.agents != target.agents:
-        raise InputError("source and target must share one agent set")
+        raise InputError("inputs do not share one agent set")
     best = 0
     for coloring in iter_bicolorings(source.agents, bound=color_bound):
         if not 0 < len(coloring.a_side) < len(coloring.agents):

@@ -13,6 +13,7 @@ package.
 import ast
 import inspect
 import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -20,17 +21,30 @@ import pytest
 import loccgraph
 from loccgraph import (
     Bicoloring,
+    Hypergraph,
+    cat_copies_to_tree,
     cat_state,
+    distance_report,
     epr_pair,
     errors,
+    find_blocking_witness,
+    find_separating_pair,
+    min_copies_lower_bound,
     path_tree,
+    quantum_distance,
+    r_uniform_incomparability,
     random_r_uniform_hypertree,
     reachability_search,
     star_tree,
+    tree_classes,
+    tree_to_cat,
+    trees_copies_to_tree,
+    witness_cat_copies_vs_tree,
+    witness_distinct_spanning_trees,
     witness_pendant_condition,
     witness_r_uniform_hypertrees,
 )
-from loccgraph.merging import make_witness
+from loccgraph.merging import cut_profiles, make_witness
 from loccgraph.witnesses import structural_witness
 
 SOURCES = sorted(pathlib.Path(loccgraph.__file__).parent.glob("*.py"))
@@ -126,22 +140,82 @@ def test_errors_module_defines_the_taxonomy():
         assert issubclass(getattr(errors, name), errors.LoccError)
 
 
+SHARED = "^inputs do not share one agent set$"
+_HYPERTREES = (random_r_uniform_hypertree(5, 3, 0), random_r_uniform_hypertree(7, 3, 0))
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: Bicoloring((1, 2, 3), {4}), "A-side contains unknown agents"),
-    (lambda: make_witness(path_tree(3), path_tree(4), Bicoloring((1, 2, 3), {1})),
-     "share no common agent set"),
+    (lambda: make_witness(path_tree(3), path_tree(4), Bicoloring((1, 2, 3), {1})), SHARED),
     # a coloring over other agents than the states' would name agents outside them
     (lambda: make_witness(epr_pair(3, 1, 2), cat_state(3),
                           Bicoloring((1, 2, 3, 4, 5), frozenset({3, 4}))),
      r"coloring over \(1, 2, 3, 4, 5\) does not color the states' agents"),
-    (lambda: reachability_search(path_tree(3), star_tree(4)), "share one agent set"),
-    (lambda: witness_pendant_condition(path_tree(4), star_tree(5)), "share one agent set"),
-    (lambda: witness_r_uniform_hypertrees(random_r_uniform_hypertree(5, 3, 0),
-                                          random_r_uniform_hypertree(7, 3, 0)),
-     "share one agent set"),
-    (lambda: structural_witness(cat_state(3), cat_state(4)), "share one agent set"),
-], ids=["bicoloring", "make_witness", "make_witness-coloring", "reachability_search", "witness_pendant_condition",
-        "witness_r_uniform_hypertrees", "structural_witness"])
+    (lambda: reachability_search(path_tree(3), star_tree(4)), SHARED),
+    (lambda: witness_pendant_condition(path_tree(4), star_tree(5)), SHARED),
+    (lambda: witness_r_uniform_hypertrees(*_HYPERTREES), SHARED),
+    (lambda: structural_witness(cat_state(3), cat_state(4)), SHARED),
+    (lambda: find_blocking_witness(path_tree(3), path_tree(4)), SHARED),
+    (lambda: min_copies_lower_bound(path_tree(3), path_tree(4)), SHARED),
+    (lambda: cut_profiles(path_tree(3), path_tree(4)), SHARED),
+    (lambda: r_uniform_incomparability(*_HYPERTREES), SHARED),
+    (lambda: find_separating_pair(*_HYPERTREES), SHARED),
+    (lambda: quantum_distance(path_tree(3), path_tree(4)), SHARED),
+    (lambda: distance_report(path_tree(3), path_tree(4)), SHARED),
+    (lambda: trees_copies_to_tree(path_tree(3), path_tree(4)), SHARED),
+    (lambda: witness_distinct_spanning_trees(path_tree(3), path_tree(4)), SHARED),
+], ids=["bicoloring", "make_witness", "make_witness-coloring", "reachability_search",
+        "witness_pendant_condition", "witness_r_uniform_hypertrees", "structural_witness",
+        "find_blocking_witness", "min_copies_lower_bound", "cut_profiles",
+        "r_uniform_incomparability", "find_separating_pair", "quantum_distance",
+        "distance_report", "trees_copies_to_tree", "witness_distinct_spanning_trees"])
 def test_states_over_different_agents_raise_input_error(call, message):
     with pytest.raises(errors.InputError, match=message):
         call()
+
+
+_CYCLE = Hypergraph((1, 2, 3), ((1, 2), (1, 3), (2, 3)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tree_to_cat(_CYCLE),
+    lambda: cat_copies_to_tree(_CYCLE),
+    lambda: witness_cat_copies_vs_tree(_CYCLE),
+    lambda: tree_classes([_CYCLE]),
+    lambda: quantum_distance(_CYCLE, path_tree(3)),
+    lambda: distance_report(_CYCLE, path_tree(3)),
+    lambda: trees_copies_to_tree(_CYCLE, path_tree(3)),
+    lambda: witness_distinct_spanning_trees(_CYCLE, path_tree(3)),
+], ids=["tree_to_cat", "cat_copies_to_tree", "witness_cat_copies_vs_tree", "tree_classes",
+        "quantum_distance", "distance_report", "trees_copies_to_tree",
+        "witness_distinct_spanning_trees"])
+def test_a_state_that_is_not_a_spanning_tree_raises_input_error(call):
+    with pytest.raises(errors.InputError, match="^input is not a spanning EPR tree$"):
+        call()
+
+
+# each precondition's one message, and a pattern for any message that names
+# its rule; "agent set must be nonempty" and the coloring check of
+# `make_witness` are other rules
+PRECONDITIONS = {
+    "inputs do not share one agent set": r"\bshare\b.*\bagent set\b|same agents",
+    "input is not a spanning EPR tree": r"spanning EPR tree",
+}
+
+
+def _input_error_literals() -> list[tuple[str, str]]:
+    """(module, message) of every `raise InputError(<string literal>)` in src."""
+    return [(path.name, node.exc.args[0].value) for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Raise) and _raised_name(node) == "InputError"
+            and isinstance(node.exc, ast.Call) and node.exc.args
+            and isinstance(node.exc.args[0], ast.Constant)]
+
+
+@pytest.mark.parametrize("message", PRECONDITIONS, ids=["agent-set", "spanning-tree"])
+def test_each_precondition_is_raised_once_in_hypergraph(message):
+    # one function in hypergraph.py owns each rule and its one message, and
+    # every other site calls it, so a bad input reads alike everywhere
+    raises = [(name, text) for name, text in _input_error_literals()
+              if re.search(PRECONDITIONS[message], text)]
+    assert raises == [("hypergraph.py", message)]

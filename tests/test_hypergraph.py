@@ -258,9 +258,14 @@ def tree_like_states(draw):
 def test_tree_predicates_match_their_former_bodies(h):
     assert is_spanning_epr_tree(h) == oracle_is_spanning_epr_tree(h)
     assert is_entangled_hypertree(h) == oracle_is_entangled_hypertree(h)
-    # the edge-count gate gives what the gate that scanned for pairs gave
+    # the edge-count gate gives what the gate that scanned for pairs gave:
+    # the table, or the spanning-tree error where that gate gave None
     pairs = tree_table(h) if all(len(e) == 2 for e in h.edges) else None
-    assert epr_tree_table(h) == pairs
+    try:
+        got = epr_tree_table(h)
+    except InputError as exc:
+        got = str(exc)
+    assert got == ("input is not a spanning EPR tree" if pairs is None else pairs)
     if len(h.edges) == h.n - 1 and any(len(e) > 2 for e in h.edges):
         assert pairs is None
 

@@ -69,7 +69,7 @@ def test_two_pairs_to_ghz_has_no_obstruction():
 
 
 def test_agent_mismatch_rejected():
-    with pytest.raises(InputError, match="must share one agent set"):
+    with pytest.raises(InputError, match="^inputs do not share one agent set$"):
         find_blocking_witness(cat_state(3), cat_state(4))
 
 

@@ -42,9 +42,9 @@ from walk_oracles import oracle_hyperpath, oracle_reach
 def oracle_split(t1, t2):
     for t in (t1, t2):
         if not is_spanning_epr_tree(t):
-            raise InputError("both inputs must be spanning EPR trees")
+            raise InputError("input is not a spanning EPR tree")
     if t1.agents != t2.agents:
-        raise InputError("trees must span the same agents")
+        raise InputError("inputs do not share one agent set")
     extra = sorted(set(t2.edges) - set(t1.edges))
     if not extra:
         raise InputError("the trees coincide")

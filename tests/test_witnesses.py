@@ -124,12 +124,13 @@ def test_cat_vs_disconnected_preconditions():
 
 def test_cat_vs_disconnected_splits_and_builds_the_cat_once():
     # the backward witness reuses the forward direction's walk and CAT; the
-    # walk covers the first component only, here the first of 1,000 pairs
+    # walk covers the first component only, here the first of 1,000 pairs.
+    # The CAT is built over the graph's own agents, whatever their labels.
     many = H(2000, *((a, a + 1) for a in range(1, 2000, 2)))
     for g in (H(6, (1, 2), (2, 3), (4, 5), (5, 6)), H(5, (2, 3), (2, 3)), H(4, (1, 4), (2, 3)),
-              many):
+              many, Hypergraph((2, 3, 4, 5), ((2, 3), (4, 5)))):
         with mock.patch.object(witnesses, "reach", wraps=witnesses.reach) as walk, \
-                mock.patch.object(witnesses, "cat_state", wraps=witnesses.cat_state) as cat:
+                mock.patch.object(witnesses, "Hypergraph", wraps=witnesses.Hypergraph) as cat:
             _, bwd = witness_cat_vs_disconnected(g)
         assert (walk.call_count, cat.call_count) == (1, 1)
         assert bwd == witness_disconnected_vs_cat(g)
