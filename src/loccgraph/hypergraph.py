@@ -75,9 +75,10 @@ class Hypergraph:
         """Number of hyperedge instances containing the agent."""
         return sum(1 for e in self.edges if agent in e)
 
-    def edited(self, pool: list[Edge]) -> "Hypergraph":
+    def edited(self, pool: list[Edge] | tuple[Edge, ...]) -> "Hypergraph":
         """The state whose edges are `pool`, a copy of this state's changed
-        only by `protocols._edit`."""
+        only by `protocols._edit`, or the edge tuple of such a state, which
+        `reachability_search` keeps: `_edit` made it, so it is canonical."""
         return _trusted(self.agents, tuple(pool))
 
 

@@ -193,11 +193,9 @@ def tree_to_cat(t: Hypergraph) -> ProtocolTrace:
 def cat_to_epr(n: int, a: int, b: int) -> ProtocolTrace:
     """Distill the EPR pair {a, b} from the n-CAT: every other agent
     measures out in turn (n-2 moves)."""
-    if n < 2:
-        raise InputError("need at least two agents")
+    start = cat_state(n)
     if a == b or not (1 <= a <= n) or not (1 <= b <= n):
         raise InputError(f"agents ({a}, {b}) invalid for n={n}")
-    start = cat_state(n)
     return make_trace(start, _measure_outs(start.edges[0], a, b))
 
 
@@ -282,41 +280,42 @@ def reachability_search(source: Hypergraph, target: Hypergraph,
     state past the state budget: no state can be added after it, so the
     target can no longer be found.
 
-    The search is evidence-first.  After the `source == target` test it
-    asks whether some single-agent cut or component cut of the source is
-    below the target's; if one is, no protocol exists and it returns None
-    at the root, without expanding a single state.  The same test prunes
-    every state it discovers: such a state still counts against the budget
-    and is still compared with the target, but it is never expanded.
-    LOCC never raises a bipartition cut, so every state on a path to the
-    target dominates all of the target's cuts: pruning keeps the returned
-    trace, and it never hits the budget earlier than the unpruned search
-    would.
+    The search is evidence-first.  Each state, the source included, is
+    tested once, as it leaves the queue: if some single-agent cut or
+    component cut of it is below the target's, no protocol from it exists
+    and it is not expanded, so a blocked source ends the search with None.
+    A blocked state still counts against the budget and is still compared
+    with the target when it is discovered.  LOCC never raises a bipartition
+    cut, so every state on a path to the target dominates all of the
+    target's cuts: pruning keeps the returned trace, and it never hits the
+    budget earlier than the unpruned search would.  The queue and the
+    parent map hold edge tuples; a state still queued at the end is never
+    rebuilt or tested.
     """
     shared_agents(source, target)
     if source == target:
         return make_trace(source, ())
     cut_below_target = cheap_cuts(target)
-    if cut_below_target(source) is not None:
-        return None
     # the parent map is the visited set; the source maps to None
-    parent: dict[tuple, tuple[Hypergraph, LoccMove] | None] = {source.edges: None}
-    queue = deque([source])
+    parent: dict[tuple, tuple[tuple, LoccMove] | None] = {source.edges: None}
+    queue = deque([source.edges])
     while queue:
-        state = queue.popleft()
+        edges = queue.popleft()
+        state = source.edited(edges)
+        if cut_below_target(state) is not None:
+            continue
         for move in legal_moves(state):
-            nxt = apply_move(state, move)
-            if nxt.edges in parent:
+            nxt = apply_move(state, move).edges
+            if nxt in parent:
                 continue
             if len(parent) >= budget:
                 raise BoundExceeded(f"state budget {budget} hit before exhausting the space")
-            parent[nxt.edges] = (state, move)
-            if nxt == target:
+            parent[nxt] = (edges, move)
+            if nxt == target.edges:
                 moves = []
-                while (step := parent[nxt.edges]) is not None:
+                while (step := parent[nxt]) is not None:
                     nxt, move = step
                     moves.append(move)
                 return make_trace(source, moves[::-1])
-            if cut_below_target(nxt) is None:
-                queue.append(nxt)
+            queue.append(nxt)
     return None

@@ -87,7 +87,7 @@ def witness_cat_vs_disconnected(g: Hypergraph) -> tuple[BlockingWitness, Blockin
         raise InputError("every hyperedge must be an EPR pair")
     first = frozenset(reach(g, g.agents[0]))
     if len(first) == g.n:
-        raise InputError("graph is connected")
+        raise InputError("graph is connected; no component split exists")
     distinct = sorted(set(g.edges))
     if len(distinct) == 1:
         a_side = frozenset({distinct[0][1]})

@@ -24,6 +24,7 @@ from loccgraph import (
     Hypergraph,
     cat_copies_to_tree,
     cat_state,
+    cat_to_epr,
     distance_report,
     epr_pair,
     errors,
@@ -40,6 +41,8 @@ from loccgraph import (
     tree_to_cat,
     trees_copies_to_tree,
     witness_cat_copies_vs_tree,
+    witness_cat_vs_disconnected,
+    witness_disconnected_vs_cat,
     witness_distinct_spanning_trees,
     witness_pendant_condition,
     witness_r_uniform_hypertrees,
@@ -191,6 +194,30 @@ _CYCLE = Hypergraph((1, 2, 3), ((1, 2), (1, 3), (2, 3)))
         "witness_distinct_spanning_trees"])
 def test_a_state_that_is_not_a_spanning_tree_raises_input_error(call):
     with pytest.raises(errors.InputError, match="^input is not a spanning EPR tree$"):
+        call()
+
+
+_ONE_AGENT = Hypergraph((1,), ())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cat_state(1),
+    lambda: cat_to_epr(1, 1, 2),
+    lambda: tree_to_cat(_ONE_AGENT),
+    lambda: cat_copies_to_tree(_ONE_AGENT),
+], ids=["cat_state", "cat_to_epr", "tree_to_cat", "cat_copies_to_tree"])
+def test_a_cat_on_one_agent_raises_one_message(call):
+    with pytest.raises(errors.InputError, match="^a CAT state needs at least two agents$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: witness_disconnected_vs_cat(path_tree(3)),
+    lambda: witness_cat_vs_disconnected(path_tree(3)),
+], ids=["witness_disconnected_vs_cat", "witness_cat_vs_disconnected"])
+def test_a_connected_graph_raises_one_component_split_message(call):
+    with pytest.raises(errors.InputError,
+                       match="^graph is connected; no component split exists$"):
         call()
 
 

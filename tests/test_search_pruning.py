@@ -1,10 +1,17 @@
-"""Cut-pruned reachability search against the unpruned breadth-first oracle,
-and the generated move order against the build-then-sort oracle.
+"""Cut-pruned reachability search against the unpruned breadth-first oracle
+and the eagerly pruned oracle, and the generated move order against the
+build-then-sort oracle.
 
-The search oracle is the search as it was before pruning: it expands every
+The unpruned oracle is the search as it was before pruning: it expands every
 state it discovers.  The pruned search must return the same trace, or None
 where the oracle returns None, and it must never run out of budget where
 the oracle finished.
+
+The eager oracle is the search as it was before the cut test moved to the
+queue's exit: it tests the source before the loop and every other state when
+it is discovered.  Testing a state when it is expanded instead skips only the
+states still queued when the search ends, so both must give the same trace,
+the same None or the same BoundExceeded text, at every budget.
 """
 
 import itertools
@@ -29,9 +36,12 @@ from loccgraph import (
     make_trace,
     path_tree,
     reachability_search,
+    star_tree,
 )
 from loccgraph.enumeration import all_spanning_trees
 from loccgraph.errors import BoundExceeded
+from loccgraph.hypergraph import shared_agents
+from loccgraph.merging import cheap_cuts
 
 
 def H(n, *edges):
@@ -70,10 +80,11 @@ def oracle_legal_moves(state):
 
 
 @st.composite
-def move_states(draw):
-    """States on up to 9 agents with hyperedges of size 2 to 5, repeated
-    hyperedges, isolated agents and edgeless states."""
-    n = draw(st.integers(2, 9))
+def move_states(draw, agent_counts=st.integers(2, 9)):
+    """States on up to 9 agents (as many as `agent_counts` draws) with
+    hyperedges of size 2 to 5, repeated hyperedges, isolated agents and
+    edgeless states."""
+    n = draw(agent_counts)
     agents = tuple(range(1, n + 1))
     edge = st.lists(st.sampled_from(agents), min_size=2, max_size=min(5, n),
                     unique=True)
@@ -152,6 +163,111 @@ def oracle_search(source, target, budget):
     if truncated:
         raise BoundExceeded(f"state budget {budget} hit before exhausting the space")
     return None
+
+
+def oracle_eager_search(source, target, budget):
+    """The search with the cut test at discovery: a gate on the source before
+    the loop, and a test on every discovered state before it is queued."""
+    shared_agents(source, target)
+    if source == target:
+        return make_trace(source, ())
+    cut_below_target = cheap_cuts(target)
+    if cut_below_target(source) is not None:
+        return None
+    parent = {source.edges: None}
+    queue = deque([source])
+    while queue:
+        state = queue.popleft()
+        for move in legal_moves(state):
+            nxt = apply_move(state, move)
+            if nxt.edges in parent:
+                continue
+            if len(parent) >= budget:
+                raise BoundExceeded(f"state budget {budget} hit before exhausting the space")
+            parent[nxt.edges] = (state, move)
+            if nxt == target:
+                moves = []
+                while (step := parent[nxt.edges]) is not None:
+                    nxt, move = step
+                    moves.append(move)
+                return make_trace(source, moves[::-1])
+            if cut_below_target(nxt) is None:
+                queue.append(nxt)
+    return None
+
+
+def _exact_outcome(search, source, target, budget):
+    """The trace, None, or the text of the BoundExceeded raised."""
+    try:
+        return search(source, target, budget=budget)
+    except BoundExceeded as e:
+        return str(e)
+
+
+def assert_same_as_eager(source, target, budget):
+    assert (_exact_outcome(reachability_search, source, target, budget)
+            == _exact_outcome(oracle_eager_search, source, target, budget))
+
+
+@st.composite
+def search_pairs(draw):
+    """A source on at most 5 agents and a target over its agents: drawn on
+    its own, or reached from the source by 1 to 3 legal moves."""
+    source = draw(move_states(st.integers(2, 5)))
+    if draw(st.booleans()):
+        return source, draw(move_states(st.just(source.n)))
+    target = source
+    for _ in range(draw(st.integers(1, 3))):
+        moves = legal_moves(target)
+        if not moves:
+            break
+        target = apply_move(target, draw(st.sampled_from(moves)))
+    return source, target
+
+
+# Hypothesis draws larger states as a run goes on: at 300 examples a few
+# sources with 7 to 11 hyperedges exhaust spaces at budget 10**6, 9 to 23 s
+# for the two searches of one example, so the default run stops at 100.
+@settings(max_examples=100, deadline=None)
+@given(search_pairs(), st.sampled_from([1, 2, 3, 5, 8, 13, 50, 10 ** 6]))
+def test_testing_at_expansion_matches_the_eager_oracle(pair, budget):
+    assert_same_as_eager(*pair, budget)
+
+
+_CYCLE5 = H(5, (1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
+
+
+@pytest.mark.parametrize("source,target", [
+    (copies(star_tree(6), 2), path_tree(6)),
+    pytest.param(copies(star_tree(5), 3), _CYCLE5, marks=pytest.mark.slow),
+], ids=["2star6-path6", "3star5-cycle5"])
+def test_copy_pairs_match_the_eager_oracle(source, target):
+    assert_same_as_eager(source, target, 10 ** 6)
+
+
+def test_each_state_is_cut_tested_once_as_it_leaves_the_queue(monkeypatch):
+    # the eager oracle tests 231 states here: every discovered state, also
+    # those still queued when the target turns up
+    tested, expanded = [], []
+
+    def counting_cheap_cuts(target):
+        cut_below_target = cheap_cuts(target)
+
+        def counted(state):
+            tested.append(state.edges)
+            return cut_below_target(state)
+        return counted
+
+    def counting_legal_moves(state):
+        expanded.append(state.edges)
+        return legal_moves(state)
+
+    monkeypatch.setattr(protocols, "cheap_cuts", counting_cheap_cuts)
+    monkeypatch.setattr(protocols, "legal_moves", counting_legal_moves)
+    trace = reachability_search(star_tree(6), cat_state(6))
+    assert trace.end == cat_state(6)
+    assert (len(tested), len(expanded)) == (122, 37)
+    assert len(set(tested)) == len(tested)
 
 
 def _outcome(search, *args, **kwargs):

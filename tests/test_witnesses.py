@@ -118,7 +118,7 @@ def test_cat_vs_disconnected_preconditions():
     for g in (H(4, (1, 2), (1, 2, 3)), H(5, (1, 2, 3), (4, 5)), H(4, (1, 2, 3), (1, 2, 3, 4))):
         with pytest.raises(InputError, match="^every hyperedge must be an EPR pair$"):
             witness_cat_vs_disconnected(g)
-    with pytest.raises(InputError, match="^graph is connected$"):
+    with pytest.raises(InputError, match="^graph is connected; no component split exists$"):
         witness_cat_vs_disconnected(path_tree(3))
 
 
